@@ -77,14 +77,13 @@ void BM_AllToAllReplication(benchmark::State& state) {
 }
 BENCHMARK(BM_AllToAllReplication)->Arg(2)->Arg(8);
 
-void BM_GreedySubDemand(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto topo = topo::build_single_server(n);
-  const auto groups = topo::extract_groups(topo);
-  const auto& gt = groups.dims[0].groups[0];
+/// All-to-all sub-demand over `gt`: piece r starts on member r and every
+/// other member needs it.
+solver::SubDemand allgather_sub_demand(const topo::GroupTopology& gt, double piece_bytes) {
+  const int n = gt.size();
   solver::SubDemand demand;
   demand.group = &gt;
-  demand.piece_bytes = 1 << 20;
+  demand.piece_bytes = piece_bytes;
   for (int r = 0; r < n; ++r) {
     solver::DemandPiece p;
     p.id = r;
@@ -94,12 +93,43 @@ void BM_GreedySubDemand(benchmark::State& state) {
     }
     demand.pieces.push_back(std::move(p));
   }
+  return demand;
+}
+
+void BM_GreedySubDemand(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto topo = topo::build_single_server(n);
+  const auto groups = topo::extract_groups(topo);
+  const auto& gt = groups.dims[0].groups[0];
+  const solver::SubDemand demand = allgather_sub_demand(gt, 1 << 20);
   const auto ep = solver::derive_epoch_params(gt, demand.piece_bytes, 1.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver::solve_greedy(demand, ep).num_epochs);
   }
 }
 BENCHMARK(BM_GreedySubDemand)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
+
+void BM_GreedySubDemandPaper512(benchmark::State& state) {
+  // The shape of the largest greedy solves of a 512-GPU AllGather 1 MiB:
+  // h800x64's single 512-member spine group, 512 pieces, each needed by all
+  // 511 other members. Args: piece bytes, E × 100. 2 KiB at E = 1 is the
+  // coarse pass's shape; 308 B at E = 0.5 gives O = 3 and thousands of
+  // epochs, like the fine pass's longest solves.
+  const auto topo = topo::build_h800_cluster(64);
+  const auto groups = topo::extract_groups(topo);
+  const auto& gt = groups.dims.back().groups[0];
+  const solver::SubDemand demand = allgather_sub_demand(gt, static_cast<double>(state.range(0)));
+  const auto ep = solver::derive_epoch_params(gt, demand.piece_bytes,
+                                              static_cast<double>(state.range(1)) / 100.0);
+  int epochs = 0;
+  for (auto _ : state) {
+    epochs = solver::solve_greedy(demand, ep).num_epochs;
+    benchmark::DoNotOptimize(epochs);
+  }
+  state.counters["epochs"] = epochs;
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(gt.size()) * (gt.size() - 1));
+}
+BENCHMARK(BM_GreedySubDemandPaper512)->Args({2048, 100})->Args({308, 50})->Unit(benchmark::kMillisecond);
 
 void BM_MilpSubDemandBroadcast(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

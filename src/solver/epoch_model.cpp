@@ -1,9 +1,11 @@
 #include "solver/epoch_model.h"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 namespace syccl::solver {
 
@@ -18,6 +20,25 @@ std::vector<int> invert_perm(const std::vector<int>& perm) {
 }
 
 }  // namespace
+
+PortSlots port_slots(const topo::GroupTopology& g) {
+  PortSlots out;
+  for (const auto* ports : {&g.up, &g.down}) {
+    std::vector<int> ids;
+    ids.reserve(ports->size());
+    for (const auto& p : *ports) ids.push_back(p.port_id);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    std::vector<int>& slot = ports == &g.up ? out.up : out.down;
+    for (const auto& p : *ports) {
+      slot.push_back(out.num_slots +
+                     static_cast<int>(std::lower_bound(ids.begin(), ids.end(), p.port_id) - ids.begin()));
+    }
+    out.num_slots += static_cast<int>(ids.size());
+    if (ports == &g.up) out.num_up = out.num_slots;
+  }
+  return out;
+}
 
 SubScheduleRemap CanonicalDemand::to_canonical() const {
   if (identity) return {};
@@ -39,21 +60,27 @@ CanonicalDemand SubDemand::canonical() const {
   const auto& perm = form.perm;
   const std::size_t np = pieces.size();
 
+  // Piece encoding: "<srcs>:<dsts>", each list the sorted canonical members
+  // written as "<decimal>,".
   std::vector<std::string> enc(np);
+  std::vector<int> members;
+  const auto append_sorted = [&](std::string& e, const std::vector<int>& locals) {
+    members.clear();
+    for (int x : locals) members.push_back(perm.at(static_cast<std::size_t>(x)));
+    std::sort(members.begin(), members.end());
+    char buf[16];
+    for (int x : members) {
+      e.append(buf, static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, x).ptr - buf));
+      e.push_back(',');
+    }
+  };
   for (std::size_t t = 0; t < np; ++t) {
     const auto& p = pieces[t];
-    std::ostringstream ps;
-    std::vector<int> src, dst;
-    src.reserve(p.srcs.size());
-    dst.reserve(p.dsts.size());
-    for (int x : p.srcs) src.push_back(perm.at(static_cast<std::size_t>(x)));
-    for (int x : p.dsts) dst.push_back(perm.at(static_cast<std::size_t>(x)));
-    std::sort(src.begin(), src.end());
-    std::sort(dst.begin(), dst.end());
-    for (int x : src) ps << x << ",";
-    ps << ":";
-    for (int x : dst) ps << x << ",";
-    enc[t] = ps.str();
+    std::string& e = enc[t];
+    e.reserve(4 * (p.srcs.size() + p.dsts.size()) + 1);
+    append_sorted(e, p.srcs);
+    e.push_back(':');
+    append_sorted(e, p.dsts);
   }
 
   // Canonical piece order: by encoding, ties by list position. Ties are
@@ -62,8 +89,8 @@ CanonicalDemand SubDemand::canonical() const {
   std::vector<std::size_t> ord(np);
   for (std::size_t t = 0; t < np; ++t) ord[t] = t;
   std::sort(ord.begin(), ord.end(), [&](std::size_t a, std::size_t b) {
-    if (enc[a] != enc[b]) return enc[a] < enc[b];
-    return a < b;
+    const int c = enc[a].compare(enc[b]);
+    return c != 0 ? c < 0 : a < b;
   });
 
   CanonicalDemand out;
@@ -77,10 +104,17 @@ CanonicalDemand SubDemand::canonical() const {
     out.piece_perm[static_cast<std::size_t>(id)] = static_cast<int>(k);
   }
 
-  std::ostringstream os;
-  os << form.signature << "#s=" << std::hexfloat << piece_bytes << "#";
-  for (std::size_t k = 0; k < np; ++k) os << enc[ord[k]] << ";";
-  out.key = os.str();
+  std::ostringstream head;
+  head << form.signature << "#s=" << std::hexfloat << piece_bytes << "#";
+  const std::string prefix = head.str();
+  std::size_t key_size = prefix.size();
+  for (const auto& e : enc) key_size += e.size() + 1;
+  out.key.reserve(key_size);
+  out.key += prefix;
+  for (std::size_t k = 0; k < np; ++k) {
+    out.key += enc[ord[k]];
+    out.key.push_back(';');
+  }
 
   out.identity = true;
   for (std::size_t i = 0; i < perm.size(); ++i) {
@@ -120,57 +154,89 @@ void check_sub_schedule(const SubDemand& demand, const SubSchedule& sched) {
   const int n = g.size();
   const EpochParams& ep = sched.params;
 
-  // arrival[piece][local] = epoch at which the piece becomes usable.
-  std::map<std::pair<int, int>, int> arrival;
+  // Dense row per distinct piece id; an op naming an unknown id has no row.
+  std::vector<int> ids;
+  ids.reserve(demand.pieces.size());
+  for (const auto& p : demand.pieces) ids.push_back(p.id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  auto row_of = [&](int id) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    return it != ids.end() && *it == id ? static_cast<std::size_t>(it - ids.begin()) : ids.size();
+  };
+
+  // arrival[row * n + local] = epoch at which the piece becomes usable.
+  constexpr int kNever = std::numeric_limits<int>::max();
+  std::vector<int> arrival(ids.size() * static_cast<std::size_t>(n), kNever);
   for (const auto& p : demand.pieces) {
-    for (int s : p.srcs) arrival[{p.id, s}] = 0;
+    for (int s : p.srcs) arrival[row_of(p.id) * static_cast<std::size_t>(n) + static_cast<std::size_t>(s)] = 0;
   }
 
-  // Port usage per (port id, direction, epoch).
-  std::map<std::tuple<int, int, int>, int> usage;
+  const PortSlots slots = port_slots(g);
+  const auto num_slots = static_cast<std::size_t>(slots.num_slots);
 
-  std::vector<SubOp> ops = sched.ops;
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const SubOp& a, const SubOp& b) { return a.start_epoch < b.start_epoch; });
+  std::vector<SubOp> sorted;
+  const std::vector<SubOp>* ops = &sched.ops;
+  const auto by_start = [](const SubOp& a, const SubOp& b) { return a.start_epoch < b.start_epoch; };
+  if (!std::is_sorted(sched.ops.begin(), sched.ops.end(), by_start)) {
+    sorted = sched.ops;
+    std::stable_sort(sorted.begin(), sorted.end(), by_start);
+    ops = &sorted;
+  }
 
-  for (const auto& op : ops) {
+  // Port usage per (slot, epoch) for the epochs [window, window + O): row
+  // e mod O holds epoch e. Ops come in start order and any op that passes
+  // the availability check starts at epoch >= 0, so when the window moves
+  // to a later start the rows of the epochs it leaves are final and get
+  // recycled, zeroed, for the epochs it enters.
+  const int rows = std::max(ep.occupancy, 1);
+  std::vector<int> usage(static_cast<std::size_t>(rows) * num_slots, 0);
+  auto row = [&](int epoch) { return usage.begin() + static_cast<std::ptrdiff_t>((epoch % rows) * num_slots); };
+  int window = 0;
+
+  for (const auto& op : *ops) {
     if (op.src < 0 || op.src >= n || op.dst < 0 || op.dst >= n) {
       throw std::logic_error("sub-op endpoint outside group");
     }
-    const auto it = arrival.find({op.piece, op.src});
-    if (it == arrival.end() || it->second > op.start_epoch) {
+    const std::size_t r = row_of(op.piece);
+    if (r == ids.size() ||
+        arrival[r * static_cast<std::size_t>(n) + static_cast<std::size_t>(op.src)] > op.start_epoch) {
       std::ostringstream os;
       os << "sub-op sends piece " << op.piece << " from " << op.src << " at epoch "
          << op.start_epoch << " before it is available";
       throw std::logic_error(os.str());
     }
-    const int up_port = g.up[static_cast<std::size_t>(op.src)].port_id;
-    const int down_port = g.down[static_cast<std::size_t>(op.dst)].port_id;
+    for (int e = window; e < std::min(op.start_epoch, window + rows); ++e) {
+      std::fill_n(row(e), num_slots, 0);
+    }
+    window = std::max(window, op.start_epoch);
+    const auto src = static_cast<std::size_t>(op.src);
+    const auto dst = static_cast<std::size_t>(op.dst);
     for (int o = 0; o < ep.occupancy; ++o) {
-      for (const auto& [port, dir] : {std::pair{up_port, 0}, std::pair{down_port, 1}}) {
-        int& u = usage[{port, dir, op.start_epoch + o}];
-        if (++u > ep.capacity) {
+      const auto u = row(op.start_epoch + o);
+      for (const auto& [slot, port, dir] : {std::tuple{slots.up[src], g.up[src].port_id, " (up)"},
+                                             std::tuple{slots.down[dst], g.down[dst].port_id, " (down)"}}) {
+        if (++u[slot] > ep.capacity) {
           std::ostringstream os;
-          os << "port " << port << (dir == 0 ? " (up)" : " (down)") << " over capacity at epoch "
-             << op.start_epoch + o;
+          os << "port " << port << dir << " over capacity at epoch " << op.start_epoch + o;
           throw std::logic_error(os.str());
         }
       }
     }
-    auto [dit, inserted] = arrival.try_emplace({op.piece, op.dst}, op.start_epoch + ep.lat_epochs);
-    if (!inserted) dit->second = std::min(dit->second, op.start_epoch + ep.lat_epochs);
+    int& a = arrival[r * static_cast<std::size_t>(n) + dst];
+    a = std::min(a, op.start_epoch + ep.lat_epochs);
   }
 
   int completion = 0;
   for (const auto& p : demand.pieces) {
     for (int d : p.dsts) {
-      const auto it = arrival.find({p.id, d});
-      if (it == arrival.end()) {
+      const int a = arrival[row_of(p.id) * static_cast<std::size_t>(n) + static_cast<std::size_t>(d)];
+      if (a == kNever) {
         std::ostringstream os;
         os << "demand unmet: piece " << p.id << " never reaches " << d;
         throw std::logic_error(os.str());
       }
-      completion = std::max(completion, it->second);
+      completion = std::max(completion, a);
     }
   }
   if (completion > sched.num_epochs) {

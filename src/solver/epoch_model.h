@@ -108,6 +108,18 @@ struct SubSchedule {
 /// Throws std::logic_error with a description on violation.
 void check_sub_schedule(const SubDemand& demand, const SubSchedule& sched);
 
+/// Dense numbering of a group's serialisation resources: members sharing a
+/// port id in one direction share a slot. Up slots are [0, num_up), down
+/// slots [num_up, num_slots). The greedy scheduler and the checker index
+/// their per-port state by slot.
+struct PortSlots {
+  std::vector<int> up;    ///< member -> slot of its up port
+  std::vector<int> down;  ///< member -> slot of its down port
+  int num_up = 0;
+  int num_slots = 0;
+};
+PortSlots port_slots(const topo::GroupTopology& g);
+
 /// Remaps a sub-schedule onto an isomorphic group via a local-index mapping
 /// (identity-length permutation), used by isomorphism-class dedup (§5.3).
 SubSchedule remap_sub_schedule(const SubSchedule& sched, const std::vector<int>& mapping);

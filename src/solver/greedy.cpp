@@ -1,7 +1,6 @@
 #include "solver/greedy.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -10,110 +9,135 @@ namespace syccl::solver {
 namespace {
 
 struct PieceState {
-  std::vector<int> holders;       ///< locals holding the piece (usable now)
-  std::vector<int> arriving_at;   ///< arrival epoch per local (-1 = never)
-  std::vector<bool> needed;       ///< still-unserved destinations
-  int remaining = 0;
+  /// Members holding the piece, sorted by (arrival epoch, member index).
+  /// Sends of one epoch are appended in ascending destination order and all
+  /// arrive at the same, strictly later epoch, so plain appends keep the
+  /// order.
+  std::vector<int> holders;
+  std::vector<int> holder_arrival;  ///< parallel to `holders`
+  std::vector<int> unserved;        ///< unserved destinations, ascending
 };
+
+std::vector<int> sorted_unique(std::vector<int> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
 
 }  // namespace
 
 SubSchedule solve_greedy(const SubDemand& demand, const EpochParams& params) {
   demand.validate();
+  if (params.lat_epochs < 1 || params.capacity < 1 || params.occupancy < 1) {
+    throw std::invalid_argument("greedy scheduler needs L, C and O of at least 1");
+  }
   const topo::GroupTopology& g = *demand.group;
   const int n = g.size();
   const int np = static_cast<int>(demand.pieces.size());
+  const int L = params.lat_epochs;
+  const int C = params.capacity;
+  const int O = params.occupancy;
+
+  const PortSlots slots = port_slots(g);
+  const int num_slots = slots.num_slots;
 
   std::vector<PieceState> state(static_cast<std::size_t>(np));
-  int total_remaining = 0;
+  long total_remaining = 0;
   for (int p = 0; p < np; ++p) {
     PieceState& ps = state[static_cast<std::size_t>(p)];
-    ps.arriving_at.assign(static_cast<std::size_t>(n), -1);
-    ps.needed.assign(static_cast<std::size_t>(n), false);
     const DemandPiece& dp = demand.pieces[static_cast<std::size_t>(p)];
-    for (int src : dp.srcs) ps.arriving_at[static_cast<std::size_t>(src)] = 0;
-    for (int d : dp.dsts) {
-      if (!ps.needed[static_cast<std::size_t>(d)]) {
-        ps.needed[static_cast<std::size_t>(d)] = true;
-        ++ps.remaining;
-        ++total_remaining;
-      }
-    }
+    ps.unserved = sorted_unique(dp.dsts);
+    ps.holders = sorted_unique(dp.srcs);
+    ps.holder_arrival.assign(ps.holders.size(), 0);
+    total_remaining += static_cast<long>(ps.unserved.size());
   }
 
-  // Port usage per (port, direction) per epoch, grown on demand.
-  std::map<std::pair<int, int>, std::vector<int>> usage;
-  auto port_free = [&](int port, int dir, int t, int occupancy, int capacity) {
-    auto& u = usage[{port, dir}];
-    if (static_cast<int>(u.size()) < t + occupancy) u.resize(static_cast<std::size_t>(t + occupancy), 0);
-    for (int o = 0; o < occupancy; ++o) {
-      if (u[static_cast<std::size_t>(t + o)] >= capacity) return false;
-    }
-    return true;
-  };
-  auto port_take = [&](int port, int dir, int t, int occupancy) {
-    auto& u = usage[{port, dir}];
-    for (int o = 0; o < occupancy; ++o) ++u[static_cast<std::size_t>(t + o)];
+  // busy[(e mod O) * num_slots + slot] = sends occupying `slot` at epoch e,
+  // for the O epochs e = t .. t+O-1 a send issued at epoch t occupies. Every
+  // send occupies O epochs, so at epoch t the row of t is the fullest of the
+  // ring: a port is free for a new send iff its row-t counter is below C.
+  std::vector<int> busy(static_cast<std::size_t>(O) * static_cast<std::size_t>(num_slots), 0);
+  auto row = [&](int epoch) {
+    return &busy[static_cast<std::size_t>(epoch % O) * static_cast<std::size_t>(num_slots)];
   };
 
   SubSchedule out;
   out.params = params;
 
-  const long safety_epochs =
-      static_cast<long>(np) * n * std::max(params.occupancy, params.lat_epochs) + n + 16;
+  const long safety_epochs = static_cast<long>(np) * n * std::max(O, L) + n + 16;
 
+  std::vector<int> piece_order(static_cast<std::size_t>(np));
   int completion = 0;
   for (int t = 0; total_remaining > 0; ++t) {
     if (t > safety_epochs) {
       throw std::logic_error("greedy scheduler failed to converge (demand unreachable?)");
     }
-    // Candidate sends this epoch: (piece, src holder, unserved dst). Order by
-    // criticality: pieces with the most unserved destinations first, then
-    // destinations that are sources of nothing — plain index order suffices
-    // for uniform groups, so we sort pieces by remaining demand only.
-    std::vector<int> piece_order(static_cast<std::size_t>(np));
+    if (t > 0) {
+      // The row of epoch t-1 becomes the row of epoch t-1+O, which no send
+      // issued so far reaches.
+      std::fill_n(row(t - 1), num_slots, 0);
+    }
+    const int* now = row(t);
+    int free_up = 0, free_down = 0;
+    for (int s = 0; s < slots.num_up; ++s) free_up += now[s] < C ? 1 : 0;
+    for (int s = slots.num_up; s < num_slots; ++s) free_down += now[s] < C ? 1 : 0;
+
+    // Pieces with the most unserved destinations go first (stable, so ties
+    // keep piece index order). Each piece then serves its unserved
+    // destinations in ascending order, each from the earliest-arrived holder
+    // whose up-port is free (lowest member index among equals), which
+    // balances relay load deterministically.
     for (int p = 0; p < np; ++p) piece_order[static_cast<std::size_t>(p)] = p;
     std::stable_sort(piece_order.begin(), piece_order.end(), [&](int a, int b) {
-      return state[static_cast<std::size_t>(a)].remaining > state[static_cast<std::size_t>(b)].remaining;
+      return state[static_cast<std::size_t>(a)].unserved.size() >
+             state[static_cast<std::size_t>(b)].unserved.size();
     });
 
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int p : piece_order) {
-        PieceState& ps = state[static_cast<std::size_t>(p)];
-        if (ps.remaining == 0) continue;
-        for (int d = 0; d < n && ps.remaining > 0; ++d) {
-          if (!ps.needed[static_cast<std::size_t>(d)]) continue;
-          const int down_port = g.down[static_cast<std::size_t>(d)].port_id;
-          if (!port_free(down_port, 1, t, params.occupancy, params.capacity)) continue;
-          // Pick a holder with free up-port; prefer the one that received
-          // the piece earliest (balances relay load deterministically).
-          int best_src = -1;
-          for (int s = 0; s < n; ++s) {
-            const int arr = ps.arriving_at[static_cast<std::size_t>(s)];
-            if (arr < 0 || arr > t || s == d) continue;
-            if (!port_free(g.up[static_cast<std::size_t>(s)].port_id, 0, t, params.occupancy,
-                           params.capacity)) {
-              continue;
-            }
-            if (best_src < 0 ||
-                arr < ps.arriving_at[static_cast<std::size_t>(best_src)]) {
-              best_src = s;
-            }
-          }
-          if (best_src < 0) continue;
-          port_take(g.up[static_cast<std::size_t>(best_src)].port_id, 0, t, params.occupancy);
-          port_take(down_port, 1, t, params.occupancy);
-          out.ops.push_back(SubOp{p, best_src, d, t});
-          ps.needed[static_cast<std::size_t>(d)] = false;
-          --ps.remaining;
-          --total_remaining;
-          const int arrival = t + params.lat_epochs;
-          ps.arriving_at[static_cast<std::size_t>(d)] = arrival;
-          completion = std::max(completion, arrival);
-          progress = true;
+    // One pass per epoch suffices (DESIGN.md §4j): port usage only grows
+    // within the epoch and every send arrives at t + L > t, so a destination
+    // skipped once stays unschedulable until the next epoch.
+    for (int p : piece_order) {
+      if (free_up == 0 || free_down == 0) break;
+      PieceState& ps = state[static_cast<std::size_t>(p)];
+      if (ps.unserved.empty()) continue;
+      const std::size_t eligible = static_cast<std::size_t>(
+          std::upper_bound(ps.holder_arrival.begin(), ps.holder_arrival.end(), t) -
+          ps.holder_arrival.begin());
+      // Holders before the cursor have a full up-port for the rest of the
+      // epoch, so the first free one at or after it is the full scan's pick.
+      std::size_t cursor = 0;
+      std::size_t kept = 0;
+      std::size_t i = 0;
+      const std::size_t num_unserved = ps.unserved.size();
+      for (; i < num_unserved && free_down > 0; ++i) {
+        const int d = ps.unserved[i];
+        while (cursor < eligible && now[slots.up[static_cast<std::size_t>(ps.holders[cursor])]] >= C) {
+          ++cursor;
         }
+        if (cursor == eligible) break;
+        const int ds = slots.down[static_cast<std::size_t>(d)];
+        if (now[ds] >= C) {
+          ps.unserved[kept++] = d;
+          continue;
+        }
+        const int src = ps.holders[cursor];
+        const int us = slots.up[static_cast<std::size_t>(src)];
+        for (int o = 0; o < O; ++o) {
+          ++row(t + o)[us];
+          ++row(t + o)[ds];
+        }
+        if (now[us] == C) --free_up;
+        if (now[ds] == C) --free_down;
+        out.ops.push_back(SubOp{p, src, d, t});
+        --total_remaining;
+        ps.holders.push_back(d);
+        ps.holder_arrival.push_back(t + L);
+        completion = std::max(completion, t + L);
+      }
+      if (kept != i) {
+        std::copy(ps.unserved.begin() + static_cast<std::ptrdiff_t>(i), ps.unserved.end(),
+                  ps.unserved.begin() + static_cast<std::ptrdiff_t>(kept));
+        ps.unserved.resize(kept + (num_unserved - i));
       }
     }
   }

@@ -2,6 +2,8 @@
 // scheduler on hand-checkable sub-demands.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "solver/epoch_model.h"
 #include "solver/greedy.h"
 #include "solver/milp_scheduler.h"
@@ -84,6 +86,55 @@ TEST(EpochModel, IsomorphismKeyIgnoresPieceOrder) {
   EXPECT_NE(a.isomorphism_key(), c.isomorphism_key());
 }
 
+/// Hand-built star group of `n` members (down ports distinct). Member
+/// `degraded` gets a 4x slower uplink; with `shared`, member pairs share an
+/// uplink port (2 GPUs per NIC).
+topo::GroupTopology star_group(int n, int degraded, bool shared) {
+  topo::GroupTopology g;
+  g.dim = 0;
+  g.group_index = 0;
+  for (int i = 0; i < n; ++i) {
+    g.ranks.push_back(i);
+    g.up.push_back(topo::GroupPort{1e-6, i == degraded ? 4e-9 : 1e-9, shared ? i / 2 : i});
+    g.down.push_back(topo::GroupPort{1e-6, 1e-9, 100 + i});
+    g.up_hops.emplace_back();
+    g.down_hops.emplace_back();
+  }
+  return g;
+}
+
+// The solve-cache key bytes are a persistent contract (cached schedules are
+// looked up by them): pin them exactly for a merged demand with several
+// sources, unsorted and repeated destinations and permuted piece ids.
+TEST(EpochModel, CanonicalKeyGolden) {
+  auto merged = [](const topo::GroupTopology& g) {
+    SubDemand d;
+    d.group = &g;
+    d.piece_bytes = 4096.0;
+    d.pieces.push_back({1, {3, 0}, {5, 1, 2}});
+    d.pieces.push_back({0, {1}, {0, 4, 2, 3, 5}});
+    d.pieces.push_back({2, {4, 5}, {2, 0, 2}});
+    return d;
+  };
+  const std::string port = "1000000/1000000000000/1000000/1000000000000/";
+  const topo::GroupTopology uniform = star_group(6, -1, false);
+  EXPECT_EQ(merged(uniform).canonical().key,
+            "n=6;" + port + "u0/d0|" + port + "u1/d1|" + port + "u2/d2|" + port + "u3/d3|" +
+                port + "u4/d4|" + port + "u5/d5|" +
+                "#s=0x1p+12#0,3,:1,2,5,;1,:0,2,3,4,5,;4,5,:0,2,2,;");
+
+  // Member 4's uplink is degraded and members share uplinks pairwise: the
+  // slow member moves to canonical position 5.
+  const topo::GroupTopology degraded = star_group(6, 4, true);
+  const CanonicalDemand c = merged(degraded).canonical();
+  EXPECT_EQ(c.key, "n=6;" + port + "u0/d0|" + port + "u0/d1|" + port + "u1/d2|" + port +
+                       "u1/d3|" + port + "u2/d4|" +
+                       "1000000/4000000000000/1000000/1000000000000/u2/d5|" +
+                       "#s=0x1p+12#0,3,:1,2,4,;1,:0,2,3,4,5,;4,5,:0,2,2,;");
+  EXPECT_EQ(c.member_perm, (std::vector<int>{0, 1, 2, 3, 5, 4}));
+  EXPECT_EQ(c.piece_perm, (std::vector<int>{1, 0, 2}));
+}
+
 TEST(EpochModel, ValidateRejectsBadDemands) {
   GroupFixture f(4);
   SubDemand d = broadcast_demand(f.group(), 100.0);
@@ -114,6 +165,36 @@ TEST(EpochModel, CheckerCatchesViolations) {
   // Capacity of a port is ep.capacity; saturate it with duplicates.
   for (int k = 0; k < ep.capacity + 1; ++k) over.ops.push_back(SubOp{0, 0, 1, 0});
   EXPECT_THROW(check_sub_schedule(d, over), std::logic_error);
+
+  // With O = 2 a send holds its ports for two epochs: the root may start
+  // sends at epochs 0, 2, 4 but not at 0 and 1.
+  const EpochParams wide = derive_epoch_params(f.group(), 1000.0, 0.5);
+  ASSERT_EQ(wide.occupancy, 2);
+  ASSERT_EQ(wide.capacity, 1);
+  SubSchedule spaced;
+  spaced.params = wide;
+  spaced.ops = {SubOp{0, 0, 1, 0}, SubOp{0, 0, 2, 2}, SubOp{0, 0, 3, 4}};
+  spaced.num_epochs = 4 + wide.lat_epochs;
+  EXPECT_NO_THROW(check_sub_schedule(d, spaced));
+  SubSchedule overlapping = spaced;
+  overlapping.ops[1].start_epoch = 1;
+  try {
+    check_sub_schedule(d, overlapping);
+    ADD_FAILURE() << "overlapping occupancy accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("(up) over capacity at epoch 1"), std::string::npos)
+        << e.what();
+  }
+
+  // A schedule that claims to finish before its last arrival.
+  SubSchedule short_claim = spaced;
+  short_claim.num_epochs = spaced.num_epochs - 1;
+  try {
+    check_sub_schedule(d, short_claim);
+    ADD_FAILURE() << "short epoch claim accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("claims"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Greedy, BroadcastStreamsInAlphaDominatedRegime) {
