@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include "coll/collective.h"
+#include "core/merge.h"
+#include "core/subdemand.h"
 #include "core/synthesizer.h"
 #include "lp/simplex.h"
 #include "sim/schedule.h"
@@ -130,6 +132,40 @@ void BM_GreedySubDemandPaper512(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(gt.size()) * (gt.size() - 1));
 }
 BENCHMARK(BM_GreedySubDemandPaper512)->Args({2048, 100})->Args({308, 50})->Unit(benchmark::kMillisecond);
+
+/// One coarse candidate of the 512-GPU AllGather 1 MiB on h800x64: the
+/// first sketch combination's demand plan and its greedy E₁ solutions. Built
+/// once per process (several seconds) and shared by every benchmark run.
+struct Paper512Candidate {
+  topo::Topology topo = topo::build_h800_cluster(64);
+  topo::TopologyGroups groups = topo::extract_groups(topo);
+  core::DemandPlan plan;
+  std::vector<solver::SubSchedule> solved;
+
+  Paper512Candidate() {
+    const auto combos =
+        sketch::generate_alltoall_combinations(groups, sketch::RootedPattern::Broadcast);
+    plan = core::build_demand_plan(combos.front(), coll::make_allgather(512, 1 << 20), groups);
+    solver::MilpSchedulerOptions opts;
+    opts.E = core::SynthesisConfig{}.E1;
+    opts.greedy_only = true;
+    for (const auto& md : plan.demands) {
+      solved.push_back(solver::SubScheduleCache::instance().get_or_solve(md.demand, opts));
+    }
+  }
+};
+
+void BM_MergeSchedulePaper512(benchmark::State& state) {
+  static const Paper512Candidate cand;
+  std::size_t ops = 0;
+  for (auto _ : state) {
+    ops = core::merge_schedule(cand.plan, cand.solved, cand.groups, "paper512").ops.size();
+    benchmark::DoNotOptimize(ops);
+  }
+  state.counters["ops"] = static_cast<double>(ops);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_MergeSchedulePaper512)->Unit(benchmark::kMillisecond);
 
 void BM_MilpSubDemandBroadcast(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

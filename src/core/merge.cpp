@@ -1,7 +1,8 @@
 #include "core/merge.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace syccl::core {
@@ -14,49 +15,52 @@ namespace {
 /// order, a not-yet-ready op would head-of-line block ready ones. Estimated
 /// availability propagation preserves dependency order (an op's start is
 /// strictly after the delivering op's start because α > 0).
-void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups) {
-  std::map<std::pair<int, int>, double> avail;
+///
+/// `alpha[i]` / `beta[i]` are op i's pair α/β in its group. Availability is
+/// a dense piece × rank table; an entry never written reads as 0.
+void reorder_by_estimated_start(sim::Schedule& s, const std::vector<double>& alpha,
+                                const std::vector<double>& beta, std::size_t ranks) {
+  std::vector<double> avail(s.pieces.size() * ranks, 0.0);
+  std::vector<std::uint8_t> present(avail.size(), 0);
+  const auto seed = [&](std::size_t pi, int rank) {
+    const std::size_t at = pi * ranks + static_cast<std::size_t>(rank);
+    avail[at] = 0.0;
+    present[at] = 1;
+  };
   for (std::size_t pi = 0; pi < s.pieces.size(); ++pi) {
     const sim::Piece& p = s.pieces[pi];
     if (p.reduce) {
-      for (int c : p.contributors) avail[{static_cast<int>(pi), c}] = 0.0;
+      for (int c : p.contributors) seed(pi, c);
     } else if (p.origin >= 0) {
-      avail[{static_cast<int>(pi), p.origin}] = 0.0;
+      seed(pi, p.origin);
     }
   }
-  std::vector<double> key(s.ops.size(), 0.0);
+  std::vector<double> key(s.ops.size());
   for (std::size_t i = 0; i < s.ops.size(); ++i) {
     const sim::TransferOp& op = s.ops[i];
-    const int dim = op.dim >= 0 ? op.dim : groups.best_common_dim(op.src, op.dst);
-    if (dim < 0) continue;  // leave key 0; the simulator will reject later
-    const auto& gt =
-        groups.group(dim, groups.group_of[static_cast<std::size_t>(dim)]
-                                         [static_cast<std::size_t>(op.src)]);
-    const int ls = gt.local_of(op.src);
-    const int ld = gt.local_of(op.dst);
-    const auto it = avail.find({op.piece, op.src});
-    const double t0 = it != avail.end() ? it->second : 0.0;
-    const double arrival = t0 + gt.pair_alpha(ls, ld) +
-                           gt.pair_beta(ls, ld) * s.pieces[static_cast<std::size_t>(op.piece)].bytes;
+    const sim::Piece& piece = s.pieces[static_cast<std::size_t>(op.piece)];
+    const std::size_t row = static_cast<std::size_t>(op.piece) * ranks;
+    const double t0 = avail[row + static_cast<std::size_t>(op.src)];
+    // Same association as t0 + pair_alpha + pair_beta * bytes.
+    const double arrival = t0 + alpha[i] + beta[i] * piece.bytes;
     key[i] = t0;
-    auto [dit, inserted] = avail.try_emplace({op.piece, op.dst}, arrival);
-    if (!inserted) {
-      if (s.pieces[static_cast<std::size_t>(op.piece)].reduce) {
-        dit->second = std::max(dit->second, arrival);
-      } else {
-        dit->second = std::min(dit->second, arrival);
-      }
+    const std::size_t at = row + static_cast<std::size_t>(op.dst);
+    if (!present[at]) {
+      avail[at] = arrival;
+      present[at] = 1;
+    } else if (piece.reduce) {
+      avail[at] = std::max(avail[at], arrival);
+    } else {
+      avail[at] = std::min(avail[at], arrival);
     }
   }
-  std::vector<std::size_t> idx(s.ops.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    if (s.ops[a].phase != s.ops[b].phase) return s.ops[a].phase < s.ops[b].phase;
-    return key[a] < key[b];
-  });
+  std::vector<std::uint32_t> idx(s.ops.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<std::uint32_t>(i);
+  std::stable_sort(idx.begin(), idx.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return key[a] < key[b]; });
   std::vector<sim::TransferOp> reordered;
   reordered.reserve(s.ops.size());
-  for (std::size_t i : idx) reordered.push_back(s.ops[i]);
+  for (std::uint32_t i : idx) reordered.push_back(s.ops[i]);
   s.ops = std::move(reordered);
 }
 
@@ -82,84 +86,83 @@ std::vector<sim::Piece> reverse_pieces(const std::vector<sim::Piece>& pieces,
 
 sim::Schedule merge_schedule(const DemandPlan& plan,
                              const std::vector<solver::SubSchedule>& solved,
-                             const topo::TopologyGroups& groups, bool reverse, bool reduce,
-                             std::string name) {
+                             const topo::TopologyGroups& groups, std::string name) {
   if (solved.size() != plan.demands.size()) {
     throw std::invalid_argument("solved sub-schedule count mismatch");
   }
 
-  struct GlobalOp {
-    int stage;
-    int epoch;
-    int demand_index;
-    int order;  // original op index, for stable tie-break
-    sim::TransferOp op;
-  };
-  std::vector<GlobalOp> ops;
-
+  // Pass 1: validate pieces and find each stage's epoch range. Stage s owns
+  // the buckets [stage_base[s], stage_base[s + 1]), one per epoch.
+  int min_stage = std::numeric_limits<int>::max();
+  int max_stage = std::numeric_limits<int>::min();
+  for (const MergedSubDemand& md : plan.demands) {
+    min_stage = std::min(min_stage, md.stage);
+    max_stage = std::max(max_stage, md.stage);
+  }
+  const std::size_t num_stages =
+      plan.demands.empty() ? 0 : static_cast<std::size_t>(max_stage - min_stage) + 1;
+  std::vector<int> lo_epoch(num_stages, std::numeric_limits<int>::max());
+  std::vector<int> hi_epoch(num_stages, std::numeric_limits<int>::min());
+  std::size_t num_ops = 0;
   for (std::size_t di = 0; di < plan.demands.size(); ++di) {
     const MergedSubDemand& md = plan.demands[di];
-    const topo::GroupTopology& gt = groups.group(md.dim, md.group);
-    const solver::SubSchedule& ss = solved[di];
-    for (std::size_t oi = 0; oi < ss.ops.size(); ++oi) {
-      const solver::SubOp& so = ss.ops[oi];
+    const std::size_t st = static_cast<std::size_t>(md.stage - min_stage);
+    for (const solver::SubOp& so : solved[di].ops) {
       if (so.piece < 0 || static_cast<std::size_t>(so.piece) >= md.global_piece.size()) {
         throw std::invalid_argument("sub-op references unknown demand piece");
       }
-      sim::TransferOp top;
+      lo_epoch[st] = std::min(lo_epoch[st], so.start_epoch);
+      hi_epoch[st] = std::max(hi_epoch[st], so.start_epoch);
+    }
+    num_ops += solved[di].ops.size();
+  }
+  std::vector<std::size_t> stage_base(num_stages + 1, 0);
+  for (std::size_t st = 0; st < num_stages; ++st) {
+    const std::size_t span = hi_epoch[st] < lo_epoch[st]
+                                 ? 0
+                                 : static_cast<std::size_t>(
+                                       static_cast<long long>(hi_epoch[st]) - lo_epoch[st] + 1);
+    stage_base[st + 1] = stage_base[st] + span;
+  }
+  const auto bucket_of = [&](const MergedSubDemand& md, const solver::SubOp& so) {
+    const std::size_t st = static_cast<std::size_t>(md.stage - min_stage);
+    return stage_base[st] +
+           static_cast<std::size_t>(static_cast<long long>(so.start_epoch) - lo_epoch[st]);
+  };
+
+  // Pass 2: bucket sizes, prefix-summed into each bucket's first slot.
+  std::vector<std::size_t> next(stage_base.back() + 1, 0);
+  for (std::size_t di = 0; di < plan.demands.size(); ++di) {
+    for (const solver::SubOp& so : solved[di].ops) ++next[bucket_of(plan.demands[di], so) + 1];
+  }
+  for (std::size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+
+  // Pass 3: place every op, visiting demands and their ops in index order,
+  // so each bucket keeps the (demand index, op index) order of a stable sort
+  // on (stage, epoch). α/β come from the demand's own group and locals.
+  sim::Schedule out;
+  out.name = std::move(name);
+  out.pieces = plan.pieces;
+  out.ops.resize(num_ops);
+  std::vector<double> alpha(num_ops);
+  std::vector<double> beta(num_ops);
+  for (std::size_t di = 0; di < plan.demands.size(); ++di) {
+    const MergedSubDemand& md = plan.demands[di];
+    const topo::GroupTopology& gt = groups.group(md.dim, md.group);
+    for (const solver::SubOp& so : solved[di].ops) {
+      const std::size_t at = next[bucket_of(md, so)]++;
+      sim::TransferOp& top = out.ops[at];
       top.piece = md.global_piece[static_cast<std::size_t>(so.piece)];
       top.src = gt.ranks[static_cast<std::size_t>(so.src)];
       top.dst = gt.ranks[static_cast<std::size_t>(so.dst)];
       top.dim = md.dim;
       top.phase = 0;
-      ops.push_back(GlobalOp{md.stage, so.start_epoch, static_cast<int>(di),
-                             static_cast<int>(oi), top});
+      alpha[at] = gt.pair_alpha(so.src, so.dst);
+      beta[at] = gt.pair_beta(so.src, so.dst);
     }
   }
-
-  std::stable_sort(ops.begin(), ops.end(), [&](const GlobalOp& a, const GlobalOp& b) {
-    if (a.stage != b.stage) return reverse ? a.stage > b.stage : a.stage < b.stage;
-    if (a.epoch != b.epoch) return reverse ? a.epoch > b.epoch : a.epoch < b.epoch;
-    if (a.demand_index != b.demand_index) return a.demand_index < b.demand_index;
-    return a.order < b.order;
-  });
-
-  sim::Schedule out;
-  out.name = std::move(name);
-  if (reverse && reduce) {
-    const int num_ranks = static_cast<int>(groups.group_of.front().size());
-    std::vector<int> contributors(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) contributors[static_cast<std::size_t>(r)] = r;
-    out.pieces = reverse_pieces(plan.pieces, contributors);
-    for (const auto& g : ops) {
-      sim::TransferOp op = g.op;
-      std::swap(op.src, op.dst);
-      out.ops.push_back(op);
-    }
-  } else if (reverse) {
-    // Gather reversal: each forward piece travelled to exactly one final
-    // destination; reversed it originates there and flows to the root.
-    std::vector<int> final_dst(plan.pieces.size(), -1);
-    for (const auto& g : ops) {
-      // `ops` is already sorted in reversed order, so the first occurrence
-      // of a piece is the forward-last hop — its scatter destination.
-      int& slot = final_dst[static_cast<std::size_t>(g.op.piece)];
-      if (slot < 0) slot = g.op.dst;
-    }
-    out.pieces = plan.pieces;
-    for (std::size_t i = 0; i < out.pieces.size(); ++i) {
-      if (final_dst[i] >= 0) out.pieces[i].origin = final_dst[i];
-    }
-    for (const auto& g : ops) {
-      sim::TransferOp op = g.op;
-      std::swap(op.src, op.dst);
-      out.ops.push_back(op);
-    }
-  } else {
-    out.pieces = plan.pieces;
-    for (const auto& g : ops) out.ops.push_back(g.op);
-  }
-  reorder_by_estimated_start(out, groups);
+  reorder_by_estimated_start(out, alpha, beta,
+                             groups.group_of.empty() ? 0 : groups.group_of.front().size());
   return out;
 }
 

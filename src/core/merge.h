@@ -6,10 +6,16 @@
 // moment it arrives (Fig. 12(b)); the issue order only fixes per-port FIFO
 // order.
 //
-// Reduce collectives (Reduce / Gather / ReduceScatter) reuse forward
-// synthesis: `reverse=true` flips every op (src↔dst) and reverses the global
-// order, turning broadcast trees into reduction trees of identical cost, and
-// rewrites the pieces as reduce pieces.
+// Merging is forward only. Reduce collectives (Reduce / Gather /
+// ReduceScatter) reuse forward synthesis: the synthesizer merges and tunes
+// the forward twin, then `reverse_schedule` flips every op (src↔dst) and
+// reverses the global order, turning broadcast trees into reduction trees of
+// identical cost (§4.1).
+//
+// Merging runs on flat arrays (DESIGN.md §4k): a counting sort over
+// (stage, epoch) buckets reproduces the stable sort on (stage, epoch, demand
+// index, op index) in linear time, and the estimated-start reorder
+// propagates over a dense piece × rank table before one index sort.
 #pragma once
 
 #include <string>
@@ -22,18 +28,14 @@
 namespace syccl::core {
 
 /// Merges solved sub-schedules (parallel array to `plan.demands`) into a
-/// global schedule. When `reverse` is set, `reduce` selects between a
-/// reduction reversal (Broadcast→Reduce: reduce pieces converging on the
-/// forward origin) and a gather reversal (Scatter→Gather: plain pieces whose
-/// origin is the forward destination). Throws std::invalid_argument on size
-/// mismatch.
+/// global forward schedule. Throws std::invalid_argument on size mismatch or
+/// a sub-op naming an unknown demand piece.
 sim::Schedule merge_schedule(const DemandPlan& plan,
                              const std::vector<solver::SubSchedule>& solved,
-                             const topo::TopologyGroups& groups, bool reverse, bool reduce,
-                             std::string name);
+                             const topo::TopologyGroups& groups, std::string name);
 
 /// Rewrites forward pieces into reduce pieces over `contributors` (used by
-/// merge_schedule when reverse=true; exposed for tests).
+/// reverse_schedule; exposed for tests).
 std::vector<sim::Piece> reverse_pieces(const std::vector<sim::Piece>& pieces,
                                        const std::vector<int>& contributors);
 

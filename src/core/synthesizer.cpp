@@ -327,6 +327,10 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     std::vector<std::string> error(n);
 
     pool_.parallel_for(n, [&](std::size_t i) {
+      // Covers carrying the class solutions into the candidate's demands and
+      // the merge itself: the pool's share of an evaluation before simulation.
+      SYCCL_TRACE_SPAN(merge_span, "merge_schedule", "core");
+      merge_span.annotate("candidate", static_cast<double>(i));
       const Candidate& cand = *cands[i];
       std::vector<solver::SubSchedule> per_demand;
       per_demand.reserve(cand.plan.demands.size());
@@ -335,8 +339,8 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
         per_demand.push_back(solver::remap_sub_schedule(sol, cand.demand_remap[k]));
       }
       try {
-        schedules[i] =
-            merge_schedule(cand.plan, per_demand, groups_, false, false, "syccl-candidate");
+        schedules[i] = merge_schedule(cand.plan, per_demand, groups_, "syccl-candidate");
+        merge_span.annotate("ops", static_cast<double>(schedules[i].ops.size()));
       } catch (const std::exception& e) {
         error[i] = e.what();
       }

@@ -96,7 +96,7 @@ TEST(Merge, ForwardScheduleSatisfiesCollective) {
     opts.greedy_only = true;
     solved.push_back(solver::solve_sub_demand(md.demand, opts));
   }
-  const sim::Schedule sched = merge_schedule(plan, solved, f.groups, false, false, "test");
+  const sim::Schedule sched = merge_schedule(plan, solved, f.groups, "test");
   const sim::Simulator sim(f.groups);
   EXPECT_GT(sim.time_collective(sched, ag), 0.0);
 }
@@ -113,7 +113,8 @@ TEST(Merge, ReverseProducesReducePieces) {
     opts.greedy_only = true;
     solved.push_back(solver::solve_sub_demand(md.demand, opts));
   }
-  const sim::Schedule sched = merge_schedule(plan, solved, f.groups, true, true, "test-rs");
+  const sim::Schedule sched =
+      reverse_schedule(merge_schedule(plan, solved, f.groups, "test-ag"), true, 16, "test-rs");
   for (const auto& p : sched.pieces) {
     EXPECT_TRUE(p.reduce);
     EXPECT_EQ(p.contributors.size(), 16u);
@@ -128,7 +129,7 @@ TEST(Merge, SizeMismatchThrows) {
   const auto ag = coll::make_allgather(16, 1 << 20);
   const DemandPlan plan = build_demand_plan(combo, ag, f.groups);
   std::vector<solver::SubSchedule> wrong(plan.demands.size() + 1);
-  EXPECT_THROW(merge_schedule(plan, wrong, f.groups, false, false, "x"), std::invalid_argument);
+  EXPECT_THROW(merge_schedule(plan, wrong, f.groups, "x"), std::invalid_argument);
 }
 
 TEST(Merge, ReversePiecesHelper) {
