@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates under the
-// synthesizer — simulator, group extraction, sketch search, greedy and MILP
-// sub-demand solvers, LP simplex, schedule merging.
+// synthesizer — simulator, group extraction, sketch search, replication and
+// combination, greedy and MILP sub-demand solvers, LP simplex, schedule
+// merging.
 #include <benchmark/benchmark.h>
 
 #include "coll/collective.h"
@@ -11,6 +12,7 @@
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "sketch/alltoall.h"
+#include "sketch/replicate.h"
 #include "sketch/search.h"
 #include "solver/greedy.h"
 #include "solver/milp_scheduler.h"
@@ -166,6 +168,59 @@ void BM_MergeSchedulePaper512(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_MergeSchedulePaper512)->Unit(benchmark::kMillisecond);
+
+/// The sketch front end of the 512-GPU AllGather on h800x64: the selected
+/// Broadcast prototypes balanced across groups at rank 0, and their
+/// families replicated onto every root. Built once per process.
+struct Paper512Families {
+  topo::Topology topo = topo::build_h800_cluster(64);
+  topo::TopologyGroups groups = topo::extract_groups(topo);
+  std::vector<sketch::SketchCombination> balanced;
+  std::vector<sketch::SketchCombination> all_roots;
+
+  Paper512Families() {
+    const sketch::AllToAllConfig config;
+    const auto sketches =
+        sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast, config.search);
+    for (const auto& proto : sketch::select_prototypes(sketches, groups, config.max_prototypes)) {
+      sketch::SketchCombination combo = sketch::balance_across_groups(proto, groups);
+      all_roots.push_back(sketch::replicate_for_all_roots(combo, groups));
+      balanced.push_back(std::move(combo));
+    }
+  }
+};
+
+void BM_ReplicateForAllRootsPaper512(benchmark::State& state) {
+  static const Paper512Families fam;
+  std::size_t sketches = 0;
+  for (auto _ : state) {
+    sketches = 0;
+    for (const auto& combo : fam.balanced) {
+      sketches += sketch::replicate_for_all_roots(combo, fam.groups).sketches.size();
+    }
+    benchmark::DoNotOptimize(sketches);
+  }
+  state.counters["sketches"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(sketches),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReplicateForAllRootsPaper512)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateCombinationsPaper512(benchmark::State& state) {
+  static const Paper512Families fam;
+  std::size_t sketches = 0;
+  for (auto _ : state) {
+    sketches = 0;
+    for (const auto& combo : sketch::generate_combinations(fam.all_roots, fam.groups)) {
+      sketches += combo.sketches.size();
+    }
+    benchmark::DoNotOptimize(sketches);
+  }
+  state.counters["sketches"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(sketches),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GenerateCombinationsPaper512)->Unit(benchmark::kMillisecond);
 
 void BM_MilpSubDemandBroadcast(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -237,6 +237,9 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
       try_family(sketches[si]);
     }
     if (balanced.empty()) throw std::runtime_error("no replicable sketch family found");
+    std::size_t replicas = 0;
+    for (const auto& combo : balanced) replicas += combo.sketches.size();
+    span.annotate("replicas", static_cast<double>(replicas));
     combos = sketch::generate_combinations(balanced, groups_, config_.sketch.combine);
     if (combos.empty()) throw std::runtime_error("no sketch combinations generated");
     span.annotate("combinations", static_cast<double>(combos.size()));
@@ -249,19 +252,26 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   std::vector<Candidate> candidates;
   candidates.reserve(combos.size());
   ClassRegistry registry;
-  for (const auto& combo : combos) {
-    Candidate cand;
-    cand.combo = combo;
-    cand.plan = build_demand_plan(combo, coll, groups_);
-    cand.demand_class.reserve(cand.plan.demands.size());
-    cand.demand_remap.reserve(cand.plan.demands.size());
-    for (const auto& md : cand.plan.demands) {
-      auto [cls, remap] = registry.intern(md.demand);
-      cand.demand_class.push_back(cls);
-      cand.demand_remap.push_back(std::move(remap));
+  {
+    // Demand planning and class interning, serial ahead of the solves.
+    SYCCL_TRACE_SPAN(span, "plan_candidates", "core");
+    for (auto& combo : combos) {
+      Candidate cand;
+      cand.plan = build_demand_plan(combo, coll, groups_);
+      cand.demand_class.reserve(cand.plan.demands.size());
+      cand.demand_remap.reserve(cand.plan.demands.size());
+      for (const auto& md : cand.plan.demands) {
+        auto [cls, remap] = registry.intern(md.demand);
+        cand.demand_class.push_back(cls);
+        cand.demand_remap.push_back(std::move(remap));
+      }
+      breakdown.num_subdemands += static_cast<int>(cand.plan.demands.size());
+      cand.combo = std::move(combo);
+      candidates.push_back(std::move(cand));
     }
-    breakdown.num_subdemands += static_cast<int>(cand.plan.demands.size());
-    candidates.push_back(std::move(cand));
+    span.annotate("candidates", static_cast<double>(candidates.size()));
+    span.annotate("subdemands", static_cast<double>(breakdown.num_subdemands));
+    span.annotate("classes", static_cast<double>(registry.representative.size()));
   }
 
   auto solve_classes = [&](const solver::MilpSchedulerOptions& base_opts, double E,

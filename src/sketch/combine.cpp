@@ -75,27 +75,30 @@ std::optional<std::pair<std::vector<double>, double>> solve_allocation(
   return std::make_pair(std::move(t), worst);
 }
 
-}  // namespace
+/// Workload of `c` per *capacity* dimension: tiers that ride on another
+/// tier's physical ports (e.g. the spine over the rail NICs) compete for the
+/// same capacity.
+std::vector<double> capacity_workload(const SketchCombination& c,
+                                      const topo::TopologyGroups& groups) {
+  const int nd = groups.num_dims();
+  const auto raw = c.dim_workload(groups);
+  std::vector<double> agg(static_cast<std::size_t>(nd), 0.0);
+  for (int d = 0; d < nd; ++d) {
+    agg[static_cast<std::size_t>(groups.dims[static_cast<std::size_t>(d)].capacity_dim)] +=
+        raw[static_cast<std::size_t>(d)];
+  }
+  return agg;
+}
 
-std::optional<SketchCombination> allocate_across_dims(
-    const std::vector<SketchCombination>& candidates, const topo::TopologyGroups& groups,
-    const CombineConfig& config) {
+/// allocate_across_dims over `candidates` whose capacity workloads are
+/// already known (W[i] = capacity_workload(*candidates[i])).
+std::optional<SketchCombination> allocate(const std::vector<const SketchCombination*>& candidates,
+                                          const std::vector<std::vector<double>>& W,
+                                          const topo::TopologyGroups& groups,
+                                          const CombineConfig& config) {
   if (candidates.empty()) return std::nullopt;
 
-  // Aggregate workloads and shares by capacity dimension: tiers that ride
-  // on another tier's physical ports (e.g. the spine over the rail NICs)
-  // compete for the same capacity.
   const int nd = groups.num_dims();
-  std::vector<std::vector<double>> W;
-  for (const auto& c : candidates) {
-    const auto raw = c.dim_workload(groups);
-    std::vector<double> agg(static_cast<std::size_t>(nd), 0.0);
-    for (int d = 0; d < nd; ++d) {
-      agg[static_cast<std::size_t>(groups.dims[static_cast<std::size_t>(d)].capacity_dim)] +=
-          raw[static_cast<std::size_t>(d)];
-    }
-    W.push_back(std::move(agg));
-  }
   std::vector<double> u(static_cast<std::size_t>(nd), 0.0);
   for (int d = 0; d < nd; ++d) {
     u[static_cast<std::size_t>(groups.dims[static_cast<std::size_t>(d)].capacity_dim)] +=
@@ -121,14 +124,33 @@ std::optional<SketchCombination> allocate_across_dims(
   if (err > config.max_share_error) return std::nullopt;
 
   SketchCombination out;
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (t[i] >= config.min_fraction) members += candidates[i]->sketches.size();
+  }
+  out.sketches.reserve(members);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (t[i] < config.min_fraction) continue;
-    for (const auto& ws : candidates[i].sketches) {
+    for (const auto& ws : candidates[i]->sketches) {
       out.sketches.push_back(WeightedSketch{ws.sketch, ws.fraction * t[i]});
     }
   }
   if (out.sketches.empty()) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+std::optional<SketchCombination> allocate_across_dims(
+    const std::vector<SketchCombination>& candidates, const topo::TopologyGroups& groups,
+    const CombineConfig& config) {
+  std::vector<const SketchCombination*> members;
+  std::vector<std::vector<double>> W;
+  for (const auto& c : candidates) {
+    members.push_back(&c);
+    W.push_back(capacity_workload(c, groups));
+  }
+  return allocate(members, W, groups, config);
 }
 
 std::vector<SketchCombination> generate_combinations(
@@ -144,18 +166,31 @@ std::vector<SketchCombination> generate_combinations(
   }
 
   // Large-size candidates: integrate subsets (size 2..|D|) across dimensions.
+  // Every subset reads its members in place, with capacity workloads
+  // computed once per balanced combination.
   const int nd = groups.num_dims();
-  const int n = static_cast<int>(balanced.size());
-  for (int mask = 1; mask < (1 << std::min(n, 16)); ++mask) {
+  const int n = std::min(static_cast<int>(balanced.size()), 16);
+  std::vector<std::vector<double>> workload;
+  workload.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    workload.push_back(capacity_workload(balanced[static_cast<std::size_t>(i)], groups));
+  }
+  std::vector<const SketchCombination*> subset;
+  std::vector<std::vector<double>> W;
+  for (int mask = 1; mask < (1 << n); ++mask) {
     const int bits = __builtin_popcount(static_cast<unsigned>(mask));
     if (bits < 2 || bits > nd) continue;
-    std::vector<SketchCombination> subset;
-    for (int i = 0; i < std::min(n, 16); ++i) {
-      if (mask & (1 << i)) subset.push_back(balanced[static_cast<std::size_t>(i)]);
+    subset.clear();
+    W.clear();
+    for (int i = 0; i < n; ++i) {
+      if (mask & (1 << i)) {
+        subset.push_back(&balanced[static_cast<std::size_t>(i)]);
+        W.push_back(workload[static_cast<std::size_t>(i)]);
+      }
     }
-    const auto merged = allocate_across_dims(subset, groups, config);
+    auto merged = allocate(subset, W, groups, config);
     if (merged.has_value()) {
-      out.push_back(*merged);
+      out.push_back(std::move(*merged));
       if (static_cast<int>(out.size()) >= config.max_outputs) break;
     }
   }

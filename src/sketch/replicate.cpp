@@ -261,9 +261,34 @@ SketchCombination balance_across_groups(const Sketch& sketch, const topo::Topolo
   return combo;
 }
 
-std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGroups& groups,
-                                    int new_root) {
-  const int num_ranks = static_cast<int>(groups.group_of.front().size());
+namespace {
+
+/// The rotation automorphisms behind rotate_sketch, built once per fabric:
+/// every rank's hierarchical digits plus the inverse mixed-radix
+/// index → rank table. Rotating sketches from root r0 to root r is then one
+/// rank permutation, shared by every sketch rooted at r0.
+class RootRotations {
+ public:
+  explicit RootRotations(const topo::TopologyGroups& groups);
+
+  /// False when the topology is irregular (unequal server sizes or unequal
+  /// fanouts of a nesting dimension): no rotation exists.
+  bool regular() const { return regular_; }
+
+  /// perm[v] = image of rank v under the rotation taking `from` to `to`.
+  void permutation(int from, int to, std::vector<int>& perm) const;
+
+ private:
+  bool regular_ = false;
+  int num_ranks_ = 0;
+  std::vector<int> sizes_;    ///< radix of each digit
+  std::vector<int> digits_;   ///< digits_[v * sizes_.size() + i]
+  std::vector<int> rank_at_;  ///< mixed-radix index (digit 0 least significant) -> rank
+};
+
+RootRotations::RootRotations(const topo::TopologyGroups& groups)
+    : num_ranks_(static_cast<int>(groups.group_of.front().size())) {
+  const int num_ranks = num_ranks_;
 
   // Build hierarchical coordinates: digit 0 is the position inside the
   // dim-0 group; every higher dimension that *nests* the previous level
@@ -273,7 +298,7 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
   const auto& servers = groups.dims.front().groups;
   const int per_server = servers.front().size();
   for (const auto& sv : servers) {
-    if (sv.size() != per_server) return std::nullopt;  // irregular topology
+    if (sv.size() != per_server) return;  // irregular topology
   }
 
   struct Level {
@@ -312,7 +337,7 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
       const int fanout = static_cast<int>(members.begin()->second.size());
       for (const auto& [g, us] : members) {
         (void)g;
-        if (static_cast<int>(us.size()) != fanout) return std::nullopt;
+        if (static_cast<int>(us.size()) != fanout) return;  // irregular topology
       }
       // Renumber units to dim-d groups.
       std::map<int, int> group_id;
@@ -328,74 +353,96 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
     }
   }
 
-  // Compute full digit vectors directly per rank.
-  std::vector<std::vector<int>> digits(static_cast<std::size_t>(num_ranks));
-  {
-    std::vector<int> u2(static_cast<std::size_t>(num_ranks));
+  sizes_.push_back(per_server);
+  for (const auto& l : levels) sizes_.push_back(l.fanout);
+  const std::size_t nd = sizes_.size();
+
+  // Digit 0 per rank, then every level's digit by replaying the nesting:
+  // a unit's digit is its first-appearance order inside its dim-d group.
+  digits_.assign(static_cast<std::size_t>(num_ranks) * nd, 0);
+  std::vector<int> cur(static_cast<std::size_t>(num_ranks));
+  for (int r = 0; r < num_ranks; ++r) {
+    const int s0 = groups.group_of[0][static_cast<std::size_t>(r)];
+    digits_[static_cast<std::size_t>(r) * nd] = servers[static_cast<std::size_t>(s0)].local_of(r);
+    cur[static_cast<std::size_t>(r)] = s0;
+  }
+  for (std::size_t li = 0; li < levels.size(); ++li) {
+    const auto& gd = groups.group_of[static_cast<std::size_t>(levels[li].dim)];
+    std::map<int, std::map<int, int>> digit_of;  // dim-d group -> unit -> digit
     for (int r = 0; r < num_ranks; ++r) {
-      const int s0 = groups.group_of[0][static_cast<std::size_t>(r)];
-      digits[static_cast<std::size_t>(r)].push_back(
-          servers[static_cast<std::size_t>(s0)].local_of(r));
-      u2[static_cast<std::size_t>(r)] = s0;
+      auto& m = digit_of[gd[static_cast<std::size_t>(r)]];
+      m.emplace(cur[static_cast<std::size_t>(r)], static_cast<int>(m.size()));
     }
-    // Recompute level digits rank-wise by replaying the nesting.
-    std::vector<int> cur = u2;
-    int n_units = static_cast<int>(servers.size());
-    std::size_t level_idx = 0;
-    for (int d = 1; d < groups.num_dims() && level_idx < levels.size(); ++d) {
-      if (levels[level_idx].dim != d) continue;
-      const auto& gd = groups.group_of[static_cast<std::size_t>(d)];
-      std::map<int, std::map<int, int>> digit_of;  // dim-d group -> unit -> digit
-      std::map<int, int> group_id;
-      for (int r = 0; r < num_ranks; ++r) {
-        const int g = gd[static_cast<std::size_t>(r)];
-        auto& m = digit_of[g];
-        m.emplace(cur[static_cast<std::size_t>(r)], static_cast<int>(m.size()));
-      }
-      int next = 0;
-      for (auto& [g, m] : digit_of) {
-        (void)m;
-        group_id.emplace(g, next++);
-      }
-      for (int r = 0; r < num_ranks; ++r) {
-        const int g = gd[static_cast<std::size_t>(r)];
-        digits[static_cast<std::size_t>(r)].push_back(
-            digit_of[g][cur[static_cast<std::size_t>(r)]]);
-        cur[static_cast<std::size_t>(r)] = group_id[g];
-      }
-      n_units = next;
-      (void)n_units;
-      ++level_idx;
+    std::map<int, int> group_id;
+    for (const auto& [g, m] : digit_of) {
+      (void)m;
+      group_id.emplace(g, static_cast<int>(group_id.size()));
+    }
+    for (int r = 0; r < num_ranks; ++r) {
+      const int g = gd[static_cast<std::size_t>(r)];
+      digits_[static_cast<std::size_t>(r) * nd + li + 1] =
+          digit_of[g][cur[static_cast<std::size_t>(r)]];
+      cur[static_cast<std::size_t>(r)] = group_id[g];
     }
   }
-  std::vector<int> sizes;
-  sizes.push_back(per_server);
-  for (const auto& l : levels) sizes.push_back(l.fanout);
 
-  std::map<std::vector<int>, int> rank_of;
-  for (int r = 0; r < num_ranks; ++r) rank_of[digits[static_cast<std::size_t>(r)]] = r;
-
-  const auto& c0 = digits[static_cast<std::size_t>(sketch.root)];
-  const auto& c1 = digits[static_cast<std::size_t>(new_root)];
-  std::vector<int> delta(sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    delta[i] = ((c1[i] - c0[i]) % sizes[i] + sizes[i]) % sizes[i];
+  // Inverse table. Within one top-level unit the digits enumerate the full
+  // mixed-radix space, so with a single top unit this is a bijection. With
+  // several (no dimension nests them) digit vectors repeat across units and
+  // the highest such rank keeps the slot, as the map it replaces did.
+  std::size_t space = 1;
+  for (int sz : sizes_) space *= static_cast<std::size_t>(sz);
+  rank_at_.assign(space, -1);
+  for (int r = 0; r < num_ranks; ++r) {
+    std::size_t idx = 0;
+    for (std::size_t i = nd; i-- > 0;) {
+      idx = idx * static_cast<std::size_t>(sizes_[i]) +
+            static_cast<std::size_t>(digits_[static_cast<std::size_t>(r) * nd + i]);
+    }
+    rank_at_[idx] = r;
   }
-  auto F = [&](int rank) {
-    std::vector<int> c = digits[static_cast<std::size_t>(rank)];
-    for (std::size_t i = 0; i < sizes.size(); ++i) c[i] = (c[i] + delta[i]) % sizes[i];
-    return rank_of.at(c);
-  };
+  regular_ = true;
+}
 
+void RootRotations::permutation(int from, int to, std::vector<int>& perm) const {
+  const std::size_t nd = sizes_.size();
+  std::vector<int> delta(nd);
+  for (std::size_t i = 0; i < nd; ++i) {
+    const int c0 = digits_[static_cast<std::size_t>(from) * nd + i];
+    const int c1 = digits_[static_cast<std::size_t>(to) * nd + i];
+    delta[i] = ((c1 - c0) % sizes_[i] + sizes_[i]) % sizes_[i];
+  }
+  perm.resize(static_cast<std::size_t>(num_ranks_));
+  for (int r = 0; r < num_ranks_; ++r) {
+    std::size_t idx = 0;
+    for (std::size_t i = nd; i-- > 0;) {
+      const int c = (digits_[static_cast<std::size_t>(r) * nd + i] + delta[i]) % sizes_[i];
+      idx = idx * static_cast<std::size_t>(sizes_[i]) + static_cast<std::size_t>(c);
+    }
+    perm[static_cast<std::size_t>(r)] = rank_at_[idx];
+  }
+}
+
+/// Maps `sketch` through the rank permutation `perm`, rooting the image at
+/// `new_root`. Returns nullopt when a mapped sub-demand leaves its group or
+/// the image fails validation.
+std::optional<Sketch> permute_sketch(const Sketch& sketch, const topo::TopologyGroups& groups,
+                                     const std::vector<int>& perm, int new_root) {
+  const auto F = [&](int rank) { return perm[static_cast<std::size_t>(rank)]; };
   Sketch out;
   out.root = new_root;
   out.pattern = sketch.pattern;
-  out.parent.assign(static_cast<std::size_t>(num_ranks), -1);
+  out.parent.assign(perm.size(), -1);
+  out.stages.reserve(sketch.stages.size());
   for (const Stage& st : sketch.stages) {
     Stage mapped;
+    mapped.demands.reserve(st.demands.size());
     for (const SubDemandSpec& r : st.demands) {
+      if (r.srcs.empty()) return std::nullopt;  // malformed: no source to place the group
       SubDemandSpec m;
       m.dim = r.dim;
+      m.srcs.reserve(r.srcs.size());
+      m.dsts.reserve(r.dsts.size());
       for (int x : r.srcs) m.srcs.push_back(F(x));
       for (int x : r.dsts) m.dsts.push_back(F(x));
       const auto& gd = groups.group_of[static_cast<std::size_t>(r.dim)];
@@ -411,9 +458,11 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
     }
     out.stages.push_back(std::move(mapped));
   }
-  for (int v = 0; v < num_ranks; ++v) {
-    const int p = sketch.parent.empty() ? -1 : sketch.parent[static_cast<std::size_t>(v)];
-    if (p >= 0) out.parent[static_cast<std::size_t>(F(v))] = F(p);
+  if (!sketch.parent.empty()) {
+    for (std::size_t v = 0; v < perm.size(); ++v) {
+      const int p = sketch.parent[v];
+      if (p >= 0) out.parent[static_cast<std::size_t>(F(static_cast<int>(v)))] = F(p);
+    }
   }
   try {
     out.validate(groups);
@@ -423,6 +472,17 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
   return out;
 }
 
+}  // namespace
+
+std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGroups& groups,
+                                    int new_root) {
+  const RootRotations rotations(groups);
+  if (!rotations.regular()) return std::nullopt;
+  std::vector<int> perm;
+  rotations.permutation(sketch.root, new_root, perm);
+  return permute_sketch(sketch, groups, perm, new_root);
+}
+
 SketchCombination replicate_for_all_roots(const SketchCombination& proto,
                                           const topo::TopologyGroups& groups) {
   if (proto.sketches.empty()) throw std::invalid_argument("empty prototype combination");
@@ -430,8 +490,15 @@ SketchCombination replicate_for_all_roots(const SketchCombination& proto,
   const int r0 = proto.sketches.front().sketch.root;
 
   SketchCombination out = proto;
-  WorkloadState acc(groups);
-  for (const auto& ws : proto.sketches) acc.add_sketch(ws.sketch, groups);
+  out.sketches.reserve(proto.sketches.size() * static_cast<std::size_t>(num_ranks));
+  const RootRotations rotations(groups);
+  std::vector<int> perm;
+  int perm_from = -1;
+  int perm_to = -1;
+  // Only the load-steered fallback reads the workload state, so it is built
+  // when a rotation first fails, by replaying every sketch emitted so far in
+  // order: the same additions in the same order as eager accumulation.
+  std::optional<WorkloadState> acc;
 
   for (int r = 0; r < num_ranks; ++r) {
     if (r == r0) continue;
@@ -439,13 +506,27 @@ SketchCombination replicate_for_all_roots(const SketchCombination& proto,
       // The exact automorphism first (uniform by construction); load-steered
       // replication handles irregular topologies; canonical mapping is the
       // last resort.
-      auto rep = rotate_sketch(ws.sketch, groups, r);
-      if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, acc, r);
-      if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, acc, r, false);
+      std::optional<Sketch> rep;
+      if (rotations.regular()) {
+        if (perm_from != ws.sketch.root || perm_to != r) {
+          rotations.permutation(ws.sketch.root, r, perm);
+          perm_from = ws.sketch.root;
+          perm_to = r;
+        }
+        rep = permute_sketch(ws.sketch, groups, perm, r);
+      }
+      if (!rep.has_value()) {
+        if (!acc.has_value()) {
+          acc.emplace(groups);
+          for (const auto& done : out.sketches) acc->add_sketch(done.sketch, groups);
+        }
+        rep = replicate_sketch(ws.sketch, groups, *acc, r);
+        if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, *acc, r, false);
+      }
       if (!rep.has_value()) {
         throw std::runtime_error("all-to-all replication failed for a root");
       }
-      acc.add_sketch(*rep, groups);
+      if (acc.has_value()) acc->add_sketch(*rep, groups);
       out.sketches.push_back(WeightedSketch{std::move(*rep), ws.fraction});
     }
   }

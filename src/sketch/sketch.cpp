@@ -25,17 +25,40 @@ int Sketch::descendants(int rank) const {
   return count;
 }
 
+std::vector<int> Sketch::subtree_sizes() const {
+  // Every rank on v's path to the root gains v as a descendant.
+  std::vector<int> count(parent.size(), 0);
+  for (std::size_t v = 0; v < parent.size(); ++v) {
+    for (int cur = parent[v]; cur >= 0; cur = parent[static_cast<std::size_t>(cur)]) {
+      ++count[static_cast<std::size_t>(cur)];
+    }
+  }
+  return count;
+}
+
+namespace {
+
+/// descendants(v) read from a subtree_sizes() table.
+int subtree_size(const std::vector<int>& sizes, int v) {
+  return v >= 0 && static_cast<std::size_t>(v) < sizes.size() ? sizes[static_cast<std::size_t>(v)]
+                                                               : 0;
+}
+
+}  // namespace
+
 std::vector<std::vector<double>> Sketch::workload(const topo::TopologyGroups& groups) const {
   std::vector<std::vector<double>> w(static_cast<std::size_t>(groups.num_dims()));
   for (int d = 0; d < groups.num_dims(); ++d) {
     w[static_cast<std::size_t>(d)].assign(groups.dims[static_cast<std::size_t>(d)].groups.size(),
                                           0.0);
   }
+  const std::vector<int> subtree =
+      pattern == RootedPattern::Scatter ? subtree_sizes() : std::vector<int>{};
   for (const Stage& st : stages) {
     for (const SubDemandSpec& r : st.demands) {
       double load = 0.0;
       for (int v : r.dsts) {
-        load += pattern == RootedPattern::Scatter ? 1.0 + descendants(v) : 1.0;
+        load += pattern == RootedPattern::Scatter ? 1.0 + subtree_size(subtree, v) : 1.0;
       }
       w[static_cast<std::size_t>(r.dim)][static_cast<std::size_t>(r.group)] += load;
     }
@@ -59,6 +82,8 @@ std::string Sketch::canonical_key(const topo::TopologyGroups& groups) const {
   // topology automorphism collapse to the same key.
   std::ostringstream os;
   os << (pattern == RootedPattern::Scatter ? "S" : "B") << "|";
+  const std::vector<int> subtree =
+      pattern == RootedPattern::Scatter ? subtree_sizes() : std::vector<int>{};
   for (const Stage& st : stages) {
     std::vector<std::string> parts;
     for (const SubDemandSpec& r : st.demands) {
@@ -67,7 +92,7 @@ std::string Sketch::canonical_key(const topo::TopologyGroups& groups) const {
          << r.dsts.size();
       if (pattern == RootedPattern::Scatter) {
         std::multiset<int> subtrees;
-        for (int v : r.dsts) subtrees.insert(descendants(v));
+        for (int v : r.dsts) subtrees.insert(subtree_size(subtree, v));
         ps << ":[";
         for (int s : subtrees) ps << s << ",";
         ps << "]";
@@ -84,10 +109,14 @@ std::string Sketch::canonical_key(const topo::TopologyGroups& groups) const {
 void Sketch::validate(const topo::TopologyGroups& groups) const {
   const int num_ranks =
       groups.group_of.empty() ? 0 : static_cast<int>(groups.group_of.front().size());
-  std::set<int> holders{root};
-  std::set<int> ever_dst;
+  // One byte of marks per rank: kHolds — the rank holds the chunk before the
+  // current stage (the root, or a destination of an earlier stage); kDst —
+  // the rank was a destination of this or an earlier stage.
+  constexpr unsigned char kHolds = 1;
+  constexpr unsigned char kDst = 2;
+  std::vector<unsigned char> mark(static_cast<std::size_t>(num_ranks), 0);
+  if (root >= 0 && root < num_ranks) mark[static_cast<std::size_t>(root)] = kHolds;
   for (const Stage& st : stages) {
-    std::set<int> new_holders;
     for (const SubDemandSpec& r : st.demands) {
       if (r.dim < 0 || r.dim >= groups.num_dims()) throw std::invalid_argument("bad dimension");
       const auto& gd = groups.group_of[static_cast<std::size_t>(r.dim)];
@@ -99,7 +128,7 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
         if (gd[static_cast<std::size_t>(s)] != r.group) {
           throw std::invalid_argument("src outside its group");
         }
-        if (holders.count(s) == 0) {
+        if ((mark[static_cast<std::size_t>(s)] & kHolds) == 0) {
           throw std::invalid_argument("source does not hold the chunk yet");
         }
       }
@@ -108,25 +137,29 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
         if (gd[static_cast<std::size_t>(v)] != r.group) {
           throw std::invalid_argument("dst outside its group");
         }
-        if (v == root || ever_dst.count(v) != 0 || new_holders.count(v) != 0) {
+        if (v == root || (mark[static_cast<std::size_t>(v)] & kDst) != 0) {
           throw std::invalid_argument("rank is a destination more than once");
         }
-        ever_dst.insert(v);
-        new_holders.insert(v);
+        mark[static_cast<std::size_t>(v)] |= kDst;
       }
     }
-    holders.insert(new_holders.begin(), new_holders.end());
+    // This stage's destinations hold the chunk from the next stage on.
+    for (const SubDemandSpec& r : st.demands) {
+      for (int v : r.dsts) mark[static_cast<std::size_t>(v)] |= kHolds;
+    }
   }
   // Relay tree consistency.
   if (!parent.empty()) {
     if (static_cast<int>(parent.size()) != num_ranks) {
       throw std::invalid_argument("parent vector size mismatch");
     }
+    if (root < 0 || root >= num_ranks) throw std::invalid_argument("root rank out of range");
     if (parent[static_cast<std::size_t>(root)] != -1) {
       throw std::invalid_argument("root must not have a parent");
     }
-    for (int v : ever_dst) {
-      if (parent[static_cast<std::size_t>(v)] < 0) {
+    for (int v = 0; v < num_ranks; ++v) {
+      if ((mark[static_cast<std::size_t>(v)] & kDst) != 0 &&
+          parent[static_cast<std::size_t>(v)] < 0) {
         throw std::invalid_argument("destination without a parent in the relay tree");
       }
     }

@@ -47,6 +47,10 @@ class Sketch {
   /// Number of descendants of `rank` in the relay tree (f(v) in §4.2).
   int descendants(int rank) const;
 
+  /// descendants(v) for every rank v < parent.size(), in one pass over the
+  /// relay tree (empty when there is no relay tree).
+  std::vector<int> subtree_sizes() const;
+
   /// Workload w_{d,g} (§4.2): Broadcast — number of destinations served in
   /// (d,g); Scatter — Σ over destinations of (f(v)+1) redundant chunk loads.
   /// Returned as dense [dim][group] matrix shaped like `groups`.
@@ -61,8 +65,9 @@ class Sketch {
   std::string canonical_key(const topo::TopologyGroups& groups) const;
 
   /// Structural validation: destinations unique, sources hold data (root or
-  /// earlier destination), demands stay inside their group. Throws
-  /// std::invalid_argument with a description.
+  /// earlier destination), demands stay inside their group, and the relay
+  /// tree (when present) is sized to the fabric and rooted at an in-range
+  /// root. Throws std::invalid_argument with a description.
   void validate(const topo::TopologyGroups& groups) const;
 
   /// Set of all ranks covered (root + every destination).

@@ -402,6 +402,11 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
   std::set<std::string> categories;
   double last_ts = -1.0;
   std::size_t duration_events = 0;
+  // Demand planning runs under its own span; combine carries its replica
+  // count (one of each per synthesize_pattern).
+  int plan_spans = 0;
+  double planned_subdemands = 0.0;
+  int combine_spans = 0;
   for (const Json& e : events.items()) {
     const std::string ph = e.at("ph").as_string();
     const int pid = static_cast<int>(e.at("pid").as_number());
@@ -424,6 +429,16 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
     EXPECT_TRUE(named_tracks.count(track))
         << "event on unnamed track pid=" << track.first << " tid=" << track.second;
     categories.insert(e.at("cat").as_string());
+    const std::string name = e.at("name").as_string();
+    if (name == "plan_candidates") {
+      ++plan_spans;
+      planned_subdemands += e.at("args").at("subdemands").as_number();
+      EXPECT_GT(e.at("args").at("candidates").as_number(), 0.0);
+      EXPECT_GT(e.at("args").at("classes").as_number(), 0.0);
+    } else if (name == "combine") {
+      ++combine_spans;
+      EXPECT_GT(e.at("args").at("replicas").as_number(), 0.0);
+    }
   }
   EXPECT_GT(duration_events, 0u);
   EXPECT_TRUE(named_pids.count(1));  // synthesis
@@ -441,6 +456,9 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
   };
   const auto& bd = result.synthesis.breakdown;
   EXPECT_EQ(counter("synth.patterns"), 2);  // AllReduce = RS + AG
+  EXPECT_EQ(plan_spans, 2);
+  EXPECT_EQ(combine_spans, 2);
+  EXPECT_EQ(planned_subdemands, static_cast<double>(bd.num_subdemands));
   EXPECT_EQ(counter("synth.combinations"), bd.num_combinations);
   EXPECT_EQ(counter("synth.subdemands"), bd.num_subdemands);
   EXPECT_EQ(counter("synth.solver_calls"), bd.num_solver_calls);

@@ -193,5 +193,22 @@ TEST(Replicate, SteeringSpreadsCrossingsAcrossNics) {
   EXPECT_LE(*hi - *lo, 1);
 }
 
+TEST(SketchMore, SubtreeSizesMatchDescendants) {
+  for (const topo::Topology& t :
+       {topo::build_h800_cluster(2), topo::build_a100_testbed(32), topo::build_h800_cluster(8)}) {
+    const topo::TopologyGroups groups = topo::extract_groups(t);
+    for (const RootedPattern pattern : {RootedPattern::Broadcast, RootedPattern::Scatter}) {
+      for (const Sketch& s : search_sketches(groups, 3, pattern)) {
+        const std::vector<int> sizes = s.subtree_sizes();
+        ASSERT_EQ(sizes.size(), s.parent.size());
+        for (std::size_t v = 0; v < sizes.size(); ++v) {
+          EXPECT_EQ(sizes[v], s.descendants(static_cast<int>(v))) << s.describe() << " rank " << v;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(Sketch{}.subtree_sizes().empty());
+}
+
 }  // namespace
 }  // namespace syccl::sketch
