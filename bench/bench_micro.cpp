@@ -292,7 +292,7 @@ BENCHMARK(BM_SynthesizeAllGatherColdCache)->Unit(benchmark::kMillisecond);
 
 void BM_SynthesizeAllGatherWarmCache(benchmark::State& state) {
   // Same synthesis with a warm process-wide cache — the steady-state cost
-  // inside a size sweep or repeated ScheduleLibrary misses.
+  // inside a size sweep or repeated schedule-library misses.
   const auto topo = topo::build_h800_cluster(2);
   const auto coll = coll::make_allgather(16, 16 << 20);
   solver::SubScheduleCache::instance().clear();

@@ -15,9 +15,12 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Same quantisation the group signatures use (topo/groups.cpp): picoseconds
-/// for α, 1e-21 s/byte for β — fine enough that distinct link classes never
-/// collide, coarse enough that a 1-ulp serialisation wobble never splits.
+/// Picoseconds for α, 1e-21 s/byte for β — fine enough that distinct link
+/// classes never collide, coarse enough that a 1-ulp serialisation wobble
+/// never splits. The units match the group signatures (topo/groups.cpp), but
+/// those truncate toward zero where these round to nearest. Both encodings
+/// are pinned (EpochModel.CanonicalKeyGolden for the solve-cache keys,
+/// existing library entries for these), so neither changes alone.
 long long quant_alpha(double a) { return std::llround(a * 1e12); }
 long long quant_beta(double b) { return std::llround(b * 1e21); }
 
@@ -321,7 +324,7 @@ std::uint64_t size_bucket(std::uint64_t bytes) {
 std::string options_fingerprint(const core::SynthesisConfig& config) {
   // Every field that can change the winning schedule. num_threads and
   // use_solve_cache are excluded on purpose: results are byte-identical
-  // across both (pinned by milp_determinism_test / cache_test).
+  // across both (pinned by milp_determinism_test / solve_cache_test).
   std::ostringstream os;
   os << std::hexfloat << "E1=" << config.E1 << ";E2=" << config.E2 << ";R1=" << config.R1
      << ";R2=" << config.R2 << ";ts=" << static_cast<int>(config.two_step)
@@ -361,6 +364,8 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map) {
   for (auto& p : schedule.pieces) {
     if (p.origin >= 0) p.origin = remap(p.origin);
     for (int& c : p.contributors) c = remap(c);
+    // The simulator and validator binary-search contributor lists.
+    std::sort(p.contributors.begin(), p.contributors.end());
   }
   for (auto& op : schedule.ops) {
     op.src = remap(op.src);
@@ -410,6 +415,12 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map,
   }
   apply_rank_map(schedule, map);
   for (auto& p : schedule.pieces) {
+    // A reduce piece's chunk is its destination block, i.e. the destination
+    // rank (sim::pieces_for), so it relabels as a rank.
+    if (p.reduce) {
+      p.chunk = remap(p.chunk);
+      continue;
+    }
     if (p.chunk < 0 || p.chunk >= from.num_chunks()) {
       throw std::invalid_argument("apply_rank_map: piece chunk out of range");
     }

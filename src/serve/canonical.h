@@ -5,8 +5,11 @@
 // library entry fleet-wide: two consumers that label the same physical
 // cluster differently — or own two identical clusters — must derive the
 // same key, and each must receive the stored schedule relabelled into its
-// own rank space. This module extends the per-group CanonicalForm machinery
-// (topo/groups.h, topo/isomorphism.h) to a whole-topology canonicalisation:
+// own rank space. This module lifts the per-group CanonicalForm machinery
+// (topo/groups.h) to a whole-topology canonicalisation. The two forms stay
+// separate on purpose: the per-group form keys the sub-demand solve cache
+// and its bytes are pinned; this one must be invariant to caller labelling,
+// which the per-group form's index tie-breaks are not.
 //
 //   1. Extract dimensions/groups. Only the raw star abstraction is consumed
 //      — not GroupTopology::canonical_form(), whose member order (and the
@@ -93,8 +96,9 @@ std::string scenario_key(const CanonicalTopology& canon, coll::CollKind kind,
 
 /// Relabels every rank of `schedule` in place: rank r becomes map[r]
 /// (piece origins, reduce contributors and op endpoints; dims are
-/// structural and invariant under isomorphism). Throws std::invalid_argument
-/// on an out-of-range rank.
+/// structural and invariant under isomorphism). Contributor lists stay
+/// sorted, as the simulator and validator require. Throws
+/// std::invalid_argument on an out-of-range rank.
 void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map);
 
 /// Rank-relabels `schedule` AND remaps its piece chunk ids. Chunk ids index
@@ -104,8 +108,9 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map);
 /// Chunk c of `from` (the collective in the schedule's current labelling)
 /// becomes the chunk of `to` (the same collective under `map`) whose source
 /// and demand set are the images of c's; chunks with identical images are
-/// interchangeable and matched in order. Throws std::invalid_argument when
-/// `to` is not a relabelling of `from`.
+/// interchangeable and matched in order. A reduce piece's chunk is its
+/// destination rank (sim::pieces_for) and is relabelled as one. Throws
+/// std::invalid_argument when `to` is not a relabelling of `from`.
 void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map,
                     const coll::Collective& from, const coll::Collective& to);
 

@@ -1,5 +1,6 @@
-// Persistent on-disk schedule library (the fleet-wide counterpart of the
-// in-process core::ScheduleLibrary), crash-safe by construction.
+// The schedule library: persistent, on disk, crash-safe by construction.
+// It is the only one; in-process users reach it through serve::Broker
+// (examples/schedule_library.cpp), the daemon through the socket.
 //
 // Layout under one directory:
 //   <hex>.sched          one codec blob per entry (hex = fnv1a of the

@@ -23,8 +23,9 @@ std::vector<Sketch> dedup_isomorphic(std::vector<Sketch> sketches,
                                      const topo::TopologyGroups& groups);
 
 /// Pruning #2 check for one stage: for every dimension and isomorphism class
-/// of groups, all *communicating* groups must show the same |dsts|/|srcs|
-/// ratio. `is_final_stage` exempts the stage entirely (paper rule).
+/// of groups (equal GroupTopology::signature()), all *communicating* groups
+/// must show the same |dsts|/|srcs| ratio. `is_final_stage` exempts the
+/// stage entirely (paper rule).
 bool stage_is_consistent(const Stage& stage, const topo::TopologyGroups& groups,
                          bool is_final_stage);
 

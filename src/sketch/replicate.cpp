@@ -300,6 +300,9 @@ RootRotations::RootRotations(const topo::TopologyGroups& groups)
   for (const auto& sv : servers) {
     if (sv.size() != per_server) return;  // irregular topology
   }
+  for (const int s0 : groups.group_of.front()) {
+    if (s0 < 0) return;  // a rank outside every server (failed link)
+  }
 
   struct Level {
     int dim;

@@ -117,14 +117,19 @@ struct Searcher {
       if (spec.srcs.empty()) continue;
       // kUnits: one destination per dim-0 group (server) of this group that
       // has no holder yet — the minimal set of crossings that lets NVLink
-      // finish the job.
+      // finish the job. A rank outside every dim-0 group (a failed link can
+      // leave one) is a unit of its own.
       std::vector<bool> unit_blocked;
+      const std::size_t num_servers = groups.dims.front().groups.size();
+      const auto unit_of = [&](int r) {
+        const int u = groups.group_of[0][static_cast<std::size_t>(r)];
+        return u >= 0 ? static_cast<std::size_t>(u) : num_servers + static_cast<std::size_t>(r);
+      };
       if (c == kUnits) {
-        unit_blocked.assign(groups.dims.front().groups.size(), false);
+        unit_blocked.assign(num_servers + static_cast<std::size_t>(num_ranks), false);
         for (int r : g.ranks) {
           if (s.covered[static_cast<std::size_t>(r)] || claimed[static_cast<std::size_t>(r)]) {
-            unit_blocked[static_cast<std::size_t>(
-                groups.group_of[0][static_cast<std::size_t>(r)])] = true;
+            unit_blocked[unit_of(r)] = true;
           }
         }
       }
@@ -151,9 +156,9 @@ struct Searcher {
       for (int r : cands) {
         if (static_cast<int>(spec.dsts.size()) >= want) break;
         if (c == kUnits) {
-          const int u = groups.group_of[0][static_cast<std::size_t>(r)];
-          if (unit_blocked[static_cast<std::size_t>(u)]) continue;
-          unit_blocked[static_cast<std::size_t>(u)] = true;
+          const std::size_t u = unit_of(r);
+          if (unit_blocked[u]) continue;
+          unit_blocked[u] = true;
         }
         spec.dsts.push_back(r);
       }

@@ -80,6 +80,12 @@ struct GroupTopology {
   /// converse may not hold when colour refinement leaves symmetric ties —
   /// two isomorphic groups can then canonicalise differently and merely miss
   /// a dedup opportunity, which is safe.
+  ///
+  /// This per-group form is the repo's group-isomorphism test: sketch
+  /// pruning #2 groups by signature and it keys the sub-demand solve cache
+  /// (its bytes are pinned by EpochModel.CanonicalKeyGolden). Its index
+  /// tie-breaks depend on the caller's labelling, so whole-topology keys
+  /// use the label-invariant serve/canonical form instead.
   struct CanonicalForm {
     std::string signature;
     std::vector<int> perm;  ///< local member index -> canonical position

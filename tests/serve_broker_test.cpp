@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/scenario.h"
+#include "runtime/executor.h"
 #include "runtime/validate.h"
 #include "runtime/xml.h"
 #include "serve/broker.h"
@@ -130,6 +131,71 @@ TEST(ServeBroker, IsomorphicAllToAllRequestRemapsChunkIds) {
   const runtime::ValidationReport report =
       runtime::validate_schedule(served.schedule, coll, groups);
   EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
+}
+
+// Reduce collectives are the contributor/destination-block regression
+// guard: a reduce piece's chunk is its destination rank and its contributor
+// list must stay sorted, so a wrong relabel fails verification and the hit
+// silently degrades to a re-synthesis.
+TEST(ServeBroker, IsomorphicReduceRequestsHitAtTheTwinsTime) {
+  DiskLibrary library({scratch_dir("reduce_permuted")});
+  Broker broker(library);
+  const topo::Topology dgx16 = obs::build_scenario_topology("dgx16");
+  std::vector<int> perm(16);
+  for (int i = 0; i < 16; ++i) perm[static_cast<std::size_t>(i)] = (5 * i + 3) % 16;
+  for (const auto kind : {coll::CollKind::ReduceScatter, coll::CollKind::AllReduce}) {
+    ServeRequest original;
+    original.topology = dgx16;
+    original.kind = kind;
+    original.total_bytes = 1 << 20;
+    const ServeResponse twin = broker.handle(original);
+    EXPECT_FALSE(twin.hit);
+
+    ServeRequest permuted = original;
+    permuted.topology = topo::permute_gpu_ranks(dgx16, perm);
+    const ServeResponse served = broker.handle(permuted);
+    EXPECT_TRUE(served.hit) << coll::kind_name(kind);
+    EXPECT_EQ(served.scenario_key, twin.scenario_key);
+    EXPECT_DOUBLE_EQ(served.predicted_time, twin.predicted_time) << coll::kind_name(kind);
+  }
+  EXPECT_EQ(broker.stats().verify_failures, 0u);
+  EXPECT_EQ(broker.stats().misses, 2u);
+}
+
+// A restarted broker over the same directory serves what the last one
+// synthesized, and the served schedule still moves the right bytes.
+TEST(ServeBroker, ServedScheduleSurvivesRestart) {
+  const std::string dir = scratch_dir("restart");
+  const ServeRequest request = flat4_request(4 << 20);
+  ServeResponse cold;
+  {
+    DiskLibrary library({dir});
+    Broker broker(library);
+    cold = broker.handle(request);
+    EXPECT_FALSE(cold.hit);
+  }
+  DiskLibrary library({dir});
+  Broker broker(library);
+  const ServeResponse warm = broker.handle(request);
+  EXPECT_TRUE(warm.hit);
+  EXPECT_EQ(warm.scenario_key, cold.scenario_key);
+  EXPECT_DOUBLE_EQ(warm.predicted_time, cold.predicted_time);
+  EXPECT_EQ(broker.stats().misses, 0u);
+  EXPECT_TRUE(
+      runtime::execute_and_verify(warm.schedule, coll::make_allgather(4, request.total_bytes)).ok);
+}
+
+TEST(ServeBroker, OtherTopologyMissesAPopulatedLibrary) {
+  DiskLibrary library({scratch_dir("other_topology")});
+  Broker broker(library);
+  EXPECT_FALSE(broker.handle(flat4_request()).hit);
+
+  ServeRequest flat8 = flat4_request();
+  flat8.topology = obs::build_scenario_topology("flat8");
+  const ServeResponse served = broker.handle(flat8);
+  EXPECT_FALSE(served.hit);
+  EXPECT_EQ(broker.stats().misses, 2u);
+  EXPECT_EQ(library.stats().entries, 2u);
 }
 
 TEST(ServeBroker, SameBucketRequestRescalesPieceBytes) {

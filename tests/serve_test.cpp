@@ -13,6 +13,7 @@
 #include "serve/codec.h"
 #include "serve/library.h"
 #include "sim/schedule.h"
+#include "topo/builders.h"
 #include "topo/groups.h"
 #include "topo/mutate.h"
 
@@ -133,6 +134,27 @@ TEST(ServeCanonical, ScenarioKeySeparatesCollectiveRootAndBucket) {
   EXPECT_EQ(base, scenario_key(canon, coll::CollKind::Broadcast, 0, 1024, fp));
 }
 
+TEST(ServeCanonical, HashIsStableAcrossRebuildsAndDiscriminating) {
+  const std::string a1 = canon_of(topo::build_h800_cluster(2)).hash;
+  const std::string a2 = canon_of(topo::build_h800_cluster(2)).hash;
+  EXPECT_EQ(a1, a2);
+  EXPECT_NE(a1, canon_of(topo::build_h800_cluster(4)).hash);
+  EXPECT_NE(a1, canon_of(topo::build_a100_testbed(16)).hash);
+}
+
+TEST(ServeCanonical, ScenarioKeyTracksTopologyAndOptions) {
+  const CanonicalTopology flat4 = canon_of(obs::build_scenario_topology("flat4"));
+  const CanonicalTopology flat8 = canon_of(obs::build_scenario_topology("flat8"));
+  const std::string fp = options_fingerprint(core::SynthesisConfig{});
+  core::SynthesisConfig tuned;
+  tuned.R2 += 1;
+  const std::string base = scenario_key(flat4, coll::CollKind::AllGather, -1, 1024, fp);
+  EXPECT_NE(base, scenario_key(flat8, coll::CollKind::AllGather, -1, 1024, fp));
+  EXPECT_NE(base, scenario_key(flat4, coll::CollKind::AllGather, -1, 1024,
+                               options_fingerprint(tuned)));
+  EXPECT_NE(base, scenario_key(flat4, coll::CollKind::ReduceScatter, -1, 1024, fp));
+}
+
 TEST(ServeCanonical, InvertPermutationRoundTripsAndValidates) {
   const std::vector<int> perm = {2, 0, 3, 1};
   const std::vector<int> inv = invert_permutation(perm);
@@ -160,11 +182,26 @@ TEST(ServeCanonical, ApplyRankMapRemapsEveryEndpoint) {
     if (p.origin >= 0) {
       EXPECT_LT(p.origin, 3);
     }
-    // Contributors were {0,1,2} in some order; still a permutation of ranks.
-    std::vector<int> c = p.contributors;
-    std::sort(c.begin(), c.end());
-    EXPECT_EQ(c, (std::vector<int>{0, 1, 2}));
+    // Contributors {0,1,2} remap to {2,0,1} and must come back sorted: the
+    // simulator and validator binary-search them.
+    EXPECT_EQ(p.contributors, (std::vector<int>{0, 1, 2}));
   }
+
+  // The chunk-remapping overload: a reduce piece's chunk is its destination
+  // rank, so it relabels through the rank map, not the chunk table.
+  const coll::Collective rs = coll::make_reduce_scatter(3, 3000);
+  sim::Schedule r;
+  r.pieces = sim::pieces_for(rs);
+  ASSERT_EQ(r.pieces.size(), 3u);
+  r.add_op(1, 0, 1, 0, 0);
+  apply_rank_map(r, map, rs, rs);
+  for (std::size_t i = 0; i < r.pieces.size(); ++i) {
+    EXPECT_EQ(r.pieces[i].chunk, map[i]);
+    EXPECT_EQ(r.pieces[i].contributors, (std::vector<int>{0, 1, 2}));
+  }
+  EXPECT_EQ(r.ops[0].src, 2);
+  EXPECT_EQ(r.ops[0].dst, 0);
+  EXPECT_EQ(r.pieces[static_cast<std::size_t>(r.ops[0].piece)].chunk, r.ops[0].dst);
 
   sim::Schedule bad;
   bad.pieces = sim::pieces_for(coll::make_broadcast(4, 4096, 0));
@@ -333,6 +370,15 @@ TEST(ServeLibrary, LruEvictionBoundsBytesAndDeletesFiles) {
   DiskLibrary reopened({dir, entry_bytes * 2 + entry_bytes / 2});
   EXPECT_EQ(reopened.stats().entries, 2u);
   EXPECT_FALSE(reopened.get(b.scenario_key).has_value());
+}
+
+TEST(ServeLibrary, MissingDirectoryOpensEmpty) {
+  const fs::path dir = fs::path(scratch_dir("missing")) / "not" / "yet" / "there";
+  ASSERT_FALSE(fs::exists(dir));
+  DiskLibrary library({dir.string()});
+  EXPECT_TRUE(fs::is_directory(dir));
+  EXPECT_EQ(library.stats().entries, 0u);
+  EXPECT_FALSE(library.get(sample_blob().scenario_key).has_value());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "sketch/search.h"
 #include "topo/builders.h"
 #include "topo/groups.h"
+#include "topo/mutate.h"
 
 namespace syccl::sketch {
 namespace {
@@ -169,6 +170,49 @@ TEST(Search, SeedsCoverDimensionPermutations) {
   }
   EXPECT_TRUE(server_first);
   EXPECT_TRUE(rail_first);
+}
+
+// A failed link can leave a rank outside every dim-0 group (group_of[0] is
+// -1 there). The kUnits fill treats it as a unit of its own.
+TEST(Search, RankWithoutServerGroupIsItsOwnUnit) {
+  const topo::Topology base = topo::build_multi_rail({});
+  for (const std::size_t link : {std::size_t{0}, std::size_t{14}}) {
+    const topo::Link& l = base.links()[link];
+    const topo::Topology failed = topo::fail_link(base, l.src, l.dst).topo;
+    const topo::TopologyGroups groups = topo::extract_groups(failed);
+    const int n = static_cast<int>(failed.num_gpus());
+    bool orphan = false;
+    for (int g : groups.group_of[0]) orphan = orphan || g < 0;
+    EXPECT_TRUE(orphan) << "link " << link;
+    const auto sketches = search_sketches(groups, 0, RootedPattern::Broadcast);
+    ASSERT_FALSE(sketches.empty()) << "link " << link;
+    for (const auto& s : sketches) {
+      EXPECT_NO_THROW(s.validate(groups));
+      EXPECT_EQ(static_cast<int>(s.covered_ranks().size()), n) << s.describe();
+    }
+  }
+}
+
+// On a single server with one GPU cut off from NVLink, the server table is
+// still regular, but the orphan rank has no server digit: rotation declines
+// and replication falls back to load steering for every root.
+TEST(Replicate, RankWithoutServerGroupFallsBackToSteering) {
+  const topo::Topology base = topo::build_h800_cluster(1);
+  const topo::Link& l = base.links()[0];
+  const topo::Topology failed = topo::fail_link(base, l.src, l.dst).topo;
+  const topo::TopologyGroups groups = topo::extract_groups(failed);
+  ASSERT_EQ(groups.dims[0].groups.size(), 1u);
+  ASSERT_LT(groups.group_of[0][0], 0);
+  const auto sketches = search_sketches(groups, 0, RootedPattern::Broadcast);
+  ASSERT_FALSE(sketches.empty());
+  const SketchCombination all =
+      replicate_for_all_roots(balance_across_groups(sketches.front(), groups), groups);
+  std::set<int> roots;
+  for (const auto& ws : all.sketches) {
+    EXPECT_NO_THROW(ws.sketch.validate(groups));
+    roots.insert(ws.sketch.root);
+  }
+  EXPECT_EQ(roots.size(), failed.num_gpus());
 }
 
 TEST(Replicate, SteeringSpreadsCrossingsAcrossNics) {
