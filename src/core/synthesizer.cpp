@@ -240,9 +240,11 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     std::size_t replicas = 0;
     for (const auto& combo : balanced) replicas += combo.sketches.size();
     span.annotate("replicas", static_cast<double>(replicas));
-    combos = sketch::generate_combinations(balanced, groups_, config_.sketch.combine);
+    int duplicates = 0;
+    combos = sketch::generate_combinations(balanced, groups_, config_.sketch.combine, &duplicates);
     if (combos.empty()) throw std::runtime_error("no sketch combinations generated");
     span.annotate("combinations", static_cast<double>(combos.size()));
+    span.annotate("duplicates", static_cast<double>(duplicates));
   }
   breakdown.combine_s = phase_clock.elapsed_seconds();
   breakdown.num_combinations = static_cast<int>(combos.size());

@@ -1,7 +1,11 @@
 #include "sketch/combine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <utility>
 
 #include "lp/simplex.h"
 #include "util/log.h"
@@ -90,13 +94,13 @@ std::vector<double> capacity_workload(const SketchCombination& c,
   return agg;
 }
 
-/// allocate_across_dims over `candidates` whose capacity workloads are
-/// already known (W[i] = capacity_workload(*candidates[i])).
-std::optional<SketchCombination> allocate(const std::vector<const SketchCombination*>& candidates,
-                                          const std::vector<std::vector<double>>& W,
-                                          const topo::TopologyGroups& groups,
-                                          const CombineConfig& config) {
-  if (candidates.empty()) return std::nullopt;
+/// The allocation LP's fractions t for candidates whose capacity workloads
+/// are W (W[i] = capacity_workload(candidate i)), or nullopt when no valid
+/// allocation exists.
+std::optional<std::vector<double>> allocation_fractions(const std::vector<std::vector<double>>& W,
+                                                        const topo::TopologyGroups& groups,
+                                                        const CombineConfig& config) {
+  if (W.empty()) return std::nullopt;
 
   const int nd = groups.num_dims();
   std::vector<double> u(static_cast<std::size_t>(nd), 0.0);
@@ -118,11 +122,16 @@ std::optional<SketchCombination> allocate(const std::vector<const SketchCombinat
   if (used_share <= 0) return std::nullopt;
   for (std::size_t d = 0; d < u.size(); ++d) u[d] = used[d] ? u[d] / used_share : 0.0;
 
-  const auto alloc = solve_allocation(W, u);
-  if (!alloc.has_value()) return std::nullopt;
-  const auto& [t, err] = *alloc;
-  if (err > config.max_share_error) return std::nullopt;
+  auto alloc = solve_allocation(W, u);
+  if (!alloc.has_value() || alloc->second > config.max_share_error) return std::nullopt;
+  return std::move(alloc->first);
+}
 
+/// The merged combination: every candidate whose fraction t_i reaches
+/// min_fraction, its member sketches' fractions scaled by t_i. Empty when no
+/// candidate contributes a sketch.
+SketchCombination scale_members(const std::vector<const SketchCombination*>& candidates,
+                                const std::vector<double>& t, const CombineConfig& config) {
   SketchCombination out;
   std::size_t members = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -135,9 +144,13 @@ std::optional<SketchCombination> allocate(const std::vector<const SketchCombinat
       out.sketches.push_back(WeightedSketch{ws.sketch, ws.fraction * t[i]});
     }
   }
-  if (out.sketches.empty()) return std::nullopt;
   return out;
 }
+
+/// Identity of an emitted combination: the balanced families it keeps, in
+/// index order, each with the bit pattern of its fraction t_i (1.0 for a
+/// family on its own). Equal keys mean bit-identical combinations.
+using CombinationKey = std::vector<std::pair<int, std::uint64_t>>;
 
 }  // namespace
 
@@ -150,24 +163,35 @@ std::optional<SketchCombination> allocate_across_dims(
     members.push_back(&c);
     W.push_back(capacity_workload(c, groups));
   }
-  return allocate(members, W, groups, config);
+  const auto t = allocation_fractions(W, groups, config);
+  if (!t.has_value()) return std::nullopt;
+  SketchCombination out = scale_members(members, *t, config);
+  if (out.sketches.empty()) return std::nullopt;
+  return out;
 }
 
 std::vector<SketchCombination> generate_combinations(
     const std::vector<SketchCombination>& balanced, const topo::TopologyGroups& groups,
-    const CombineConfig& config) {
+    const CombineConfig& config, int* duplicates) {
   std::vector<SketchCombination> out;
+  std::set<CombinationKey> emitted;
+  if (duplicates != nullptr) *duplicates = 0;
+  // Accepted candidates, copies included: the max_outputs cap counts these.
+  int accepted = 0;
 
   // Small-size candidates: each balanced combination on its own (§4.2: "for
   // small chunk sizes, a single sketch suffices").
-  for (const auto& c : balanced) {
-    out.push_back(c);
-    if (static_cast<int>(out.size()) >= config.max_outputs) return out;
+  for (std::size_t i = 0; i < balanced.size(); ++i) {
+    out.push_back(balanced[i]);
+    emitted.insert({{static_cast<int>(i), std::bit_cast<std::uint64_t>(1.0)}});
+    if (++accepted >= config.max_outputs) return out;
   }
 
   // Large-size candidates: integrate subsets (size 2..|D|) across dimensions.
   // Every subset reads its members in place, with capacity workloads
-  // computed once per balanced combination.
+  // computed once per balanced combination. A subset whose allocation drops
+  // members below min_fraction can reproduce a smaller subset's combination
+  // (or a family on its own); such copies are counted but not emitted.
   const int nd = groups.num_dims();
   const int n = std::min(static_cast<int>(balanced.size()), 16);
   std::vector<std::vector<double>> workload;
@@ -175,24 +199,39 @@ std::vector<SketchCombination> generate_combinations(
   for (int i = 0; i < n; ++i) {
     workload.push_back(capacity_workload(balanced[static_cast<std::size_t>(i)], groups));
   }
+  std::vector<int> family;
   std::vector<const SketchCombination*> subset;
   std::vector<std::vector<double>> W;
+  CombinationKey key;
   for (int mask = 1; mask < (1 << n); ++mask) {
     const int bits = __builtin_popcount(static_cast<unsigned>(mask));
     if (bits < 2 || bits > nd) continue;
+    family.clear();
     subset.clear();
     W.clear();
     for (int i = 0; i < n; ++i) {
       if (mask & (1 << i)) {
+        family.push_back(i);
         subset.push_back(&balanced[static_cast<std::size_t>(i)]);
         W.push_back(workload[static_cast<std::size_t>(i)]);
       }
     }
-    auto merged = allocate(subset, W, groups, config);
-    if (merged.has_value()) {
-      out.push_back(std::move(*merged));
-      if (static_cast<int>(out.size()) >= config.max_outputs) break;
+    const auto t = allocation_fractions(W, groups, config);
+    if (!t.has_value()) continue;
+    key.clear();
+    bool contributes = false;
+    for (std::size_t j = 0; j < family.size(); ++j) {
+      if ((*t)[j] < config.min_fraction) continue;
+      key.emplace_back(family[j], std::bit_cast<std::uint64_t>((*t)[j]));
+      contributes = contributes || !subset[j]->sketches.empty();
     }
+    if (!contributes) continue;
+    if (emitted.insert(key).second) {
+      out.push_back(scale_members(subset, *t, config));
+    } else if (duplicates != nullptr) {
+      ++*duplicates;
+    }
+    if (++accepted >= config.max_outputs) break;
   }
   return out;
 }

@@ -19,7 +19,11 @@ struct CombineConfig {
   /// Accept allocations whose worst per-dimension share deviation is below
   /// this (exact solutions preferred; small slack tolerates rounding).
   double max_share_error = 0.05;
-  /// Cap on the number of emitted combinations.
+  /// Cap on the number of accepted combinations: balanced families on their
+  /// own plus subsets with a valid allocation, copies of an earlier
+  /// combination included. The cap thus stops the enumeration at the same
+  /// subset whether or not copies are emitted; generate_combinations emits
+  /// each distinct combination once, so it may return fewer.
   int max_outputs = 24;
   /// Drop combination members whose allocated fraction falls below this.
   double min_fraction = 1e-6;
@@ -35,9 +39,13 @@ std::optional<SketchCombination> allocate_across_dims(
 /// Generates the full set of sketch combinations for a rooted collective
 /// (§4.2): every input combination alone (small-size candidates, t=1), plus
 /// every ≤|D|-subset integrated by allocate_across_dims (large-size
-/// candidates).
+/// candidates). Each distinct combination is emitted once, at its first
+/// occurrence: two are the same when they keep the same balanced families
+/// with bit-identical fractions (a family alone has fraction 1). When
+/// `duplicates` is given it receives the number of accepted subsets dropped
+/// as copies.
 std::vector<SketchCombination> generate_combinations(
     const std::vector<SketchCombination>& balanced, const topo::TopologyGroups& groups,
-    const CombineConfig& config = {});
+    const CombineConfig& config = {}, int* duplicates = nullptr);
 
 }  // namespace syccl::sketch

@@ -201,6 +201,20 @@ std::optional<Sketch> replicate_sketch(const Sketch& sketch, const topo::Topolog
       }
       // Map destinations preserving per-destination order of the original.
       for (int v : r.dsts) m.dsts.push_back(F[static_cast<std::size_t>(v)]);
+      // Relay tree: a destination keeps its parent's image when that image
+      // sends in this sub-demand. A parent image dropped into a coverage hole
+      // or replaced by re-sourcing is not a source here, so the destination
+      // pulls its data from the first source that is.
+      if (!sketch.parent.empty()) {
+        for (int v : r.dsts) {
+          const int p = sketch.parent[static_cast<std::size_t>(v)];
+          if (p < 0) continue;
+          const int fp = F[static_cast<std::size_t>(p)];
+          const bool sends = std::find(m.srcs.begin(), m.srcs.end(), fp) != m.srcs.end();
+          out.parent[static_cast<std::size_t>(F[static_cast<std::size_t>(v)])] =
+              sends ? fp : m.srcs.front();
+        }
+      }
 
       // Account this sub-demand's load at its mapped group.
       double load = 0.0;
@@ -215,15 +229,6 @@ std::optional<Sketch> replicate_sketch(const Sketch& sketch, const topo::Topolog
       for (int v : m.dsts) holds[static_cast<std::size_t>(v)] = true;
     }
     out.stages.push_back(std::move(mapped_stage));
-  }
-
-  // Map the relay tree.
-  for (int v = 0; v < num_ranks; ++v) {
-    const int p = sketch.parent.empty() ? -1 : sketch.parent[static_cast<std::size_t>(v)];
-    if (p >= 0 && F[static_cast<std::size_t>(v)] >= 0) {
-      out.parent[static_cast<std::size_t>(F[static_cast<std::size_t>(v)])] =
-          F[static_cast<std::size_t>(p)];
-    }
   }
 
   try {

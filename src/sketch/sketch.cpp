@@ -141,6 +141,13 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
           throw std::invalid_argument("rank is a destination more than once");
         }
         mark[static_cast<std::size_t>(v)] |= kDst;
+        // A Scatter destination pulls its data from its relay parent, which
+        // must therefore send in this sub-demand.
+        if (pattern == RootedPattern::Scatter && static_cast<int>(parent.size()) == num_ranks &&
+            std::find(r.srcs.begin(), r.srcs.end(), parent[static_cast<std::size_t>(v)]) ==
+                r.srcs.end()) {
+          throw std::invalid_argument("scatter destination's parent is not a source");
+        }
       }
     }
     // This stage's destinations hold the chunk from the next stage on.

@@ -67,7 +67,8 @@ class Sketch {
   /// Structural validation: destinations unique, sources hold data (root or
   /// earlier destination), demands stay inside their group, and the relay
   /// tree (when present) is sized to the fabric and rooted at an in-range
-  /// root. Throws std::invalid_argument with a description.
+  /// root; a Scatter destination's relay parent is a source of its
+  /// sub-demand. Throws std::invalid_argument with a description.
   void validate(const topo::TopologyGroups& groups) const;
 
   /// Set of all ranks covered (root + every destination).

@@ -3,8 +3,12 @@
 // every subset's member combinations and allocate_across_dims recomputed
 // their workloads for every subset. The production code computes each
 // balanced combination's capacity-dimension workload once and passes subsets
-// by pointer (DESIGN.md §4l). Both must emit the same combinations in the
-// same order, with bit-identical fractions.
+// by pointer (DESIGN.md §4l), and emits each distinct combination once
+// (DESIGN.md §4m): the original emitted a subset whose allocation dropped a
+// member below min_fraction as a second copy of a smaller subset's
+// combination. The production output must be the original's, in the same
+// order and with bit-identical fractions, with every later bit-identical
+// copy removed; the max_outputs cap still cuts at the same subset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,6 +192,19 @@ void expect_same_combinations(const std::vector<SketchCombination>& got,
   }
 }
 
+/// `all` with every combination that is bit-identical to an earlier one
+/// removed, order kept.
+std::vector<SketchCombination> without_later_copies(const std::vector<SketchCombination>& all) {
+  std::vector<SketchCombination> out;
+  for (const auto& c : all) {
+    const bool copy = std::any_of(out.begin(), out.end(), [&](const SketchCombination& kept) {
+      return identical_combinations(kept, c);
+    });
+    if (!copy) out.push_back(c);
+  }
+  return out;
+}
+
 /// The balanced all-root families the synthesizer integrates for an
 /// all-to-all collective of `pattern`: search at rank 0, select prototypes,
 /// balance and replicate each onto every root.
@@ -205,25 +222,43 @@ std::vector<SketchCombination> all_root_families(const topo::TopologyGroups& gro
   return balanced;
 }
 
+/// `copies`: how many of the original's combinations repeat an earlier one.
 /// `integrates`: whether any subset of the families integrates across
 /// dimensions on this fabric (on dgx16 and a100x16 no AllToAll subset does).
 void check(const std::string& name, const topo::Topology& topo, RootedPattern pattern,
-           bool integrates = true) {
+           int copies, bool integrates = true) {
   const topo::TopologyGroups groups = topo::extract_groups(topo);
   const auto balanced = all_root_families(groups, pattern);
   ASSERT_GE(balanced.size(), 2u) << name;
   const CombineConfig config;
-  const auto want = seed_generate_combinations(balanced, groups, config);
-  const auto got = generate_combinations(balanced, groups, config);
-  EXPECT_EQ(want.size() > balanced.size(), integrates) << name;
+  const auto seed = seed_generate_combinations(balanced, groups, config);
+  int duplicates = -1;
+  const auto got = generate_combinations(balanced, groups, config, &duplicates);
+  EXPECT_EQ(seed.size() > balanced.size(), integrates) << name;
+  const auto want = without_later_copies(seed);
   expect_same_combinations(got, want, name);
+  EXPECT_EQ(seed.size() - want.size(), static_cast<std::size_t>(copies)) << name;
+  EXPECT_EQ(duplicates, copies) << name;
 
-  // A tight output cap cuts both at the same point.
+  // A tight output cap cuts both at the same subset: copies count against it.
   CombineConfig capped = config;
   capped.max_outputs = static_cast<int>(balanced.size()) + 1;
-  expect_same_combinations(generate_combinations(balanced, groups, capped),
-                           seed_generate_combinations(balanced, groups, capped),
-                           name + " capped");
+  expect_same_combinations(
+      generate_combinations(balanced, groups, capped),
+      without_later_copies(seed_generate_combinations(balanced, groups, capped)), name + " capped");
+  // So does a cap right after the original's first copy (the original's
+  // capped output is a prefix of its uncapped one).
+  for (std::size_t c = 1; c < seed.size(); ++c) {
+    const std::vector<SketchCombination> prefix(
+        seed.begin(), seed.begin() + static_cast<std::ptrdiff_t>(c) + 1);
+    const auto kept = without_later_copies(prefix);
+    if (kept.size() < prefix.size()) {
+      capped.max_outputs = static_cast<int>(prefix.size());
+      expect_same_combinations(generate_combinations(balanced, groups, capped), kept,
+                               name + " capped after first copy");
+      break;
+    }
+  }
 
   // The public single-subset entry point agrees too.
   const std::vector<SketchCombination> pair{balanced[0], balanced[1]};
@@ -238,35 +273,74 @@ void check(const std::string& name, const topo::Topology& topo, RootedPattern pa
 // ---- Tests. ----
 
 TEST(CombineEquality, Dgx16AllGather) {
-  check("dgx16 allgather", topo::build_h800_cluster(2), RootedPattern::Broadcast);
+  check("dgx16 allgather", topo::build_h800_cluster(2), RootedPattern::Broadcast, 9);
 }
 
 TEST(CombineEquality, Dgx16AllToAll) {
-  check("dgx16 alltoall", topo::build_h800_cluster(2), RootedPattern::Scatter, false);
+  check("dgx16 alltoall", topo::build_h800_cluster(2), RootedPattern::Scatter, 0, false);
 }
 
 TEST(CombineEquality, A100x16AllGather) {
-  check("a100x16 allgather", topo::build_a100_testbed(16), RootedPattern::Broadcast);
+  check("a100x16 allgather", topo::build_a100_testbed(16), RootedPattern::Broadcast, 5);
 }
 
 TEST(CombineEquality, A100x16AllToAll) {
-  check("a100x16 alltoall", topo::build_a100_testbed(16), RootedPattern::Scatter, false);
+  check("a100x16 alltoall", topo::build_a100_testbed(16), RootedPattern::Scatter, 0, false);
 }
 
 TEST(CombineEquality, H800x8AllGather) {
-  check("h800x8 allgather", topo::build_h800_cluster(8), RootedPattern::Broadcast);
+  check("h800x8 allgather", topo::build_h800_cluster(8), RootedPattern::Broadcast, 10);
 }
 
 TEST(CombineEquality, H800x8AllToAll) {
-  check("h800x8 alltoall", topo::build_h800_cluster(8), RootedPattern::Scatter);
+  check("h800x8 alltoall", topo::build_h800_cluster(8), RootedPattern::Scatter, 4);
 }
 
 TEST(CombineEquality, H800x64AllGather) {
-  check("h800x64 allgather", topo::build_h800_cluster(64), RootedPattern::Broadcast);
+  check("h800x64 allgather", topo::build_h800_cluster(64), RootedPattern::Broadcast, 10);
 }
 
 TEST(CombineEquality, H800x64AllToAll) {
-  check("h800x64 alltoall", topo::build_h800_cluster(64), RootedPattern::Scatter);
+  check("h800x64 alltoall", topo::build_h800_cluster(64), RootedPattern::Scatter, 4);
+}
+
+/// No two combinations generate_combinations emits are bit-identical.
+void expect_distinct(const std::string& name, const topo::Topology& topo,
+                     RootedPattern pattern) {
+  const topo::TopologyGroups groups = topo::extract_groups(topo);
+  const auto combos = generate_combinations(all_root_families(groups, pattern), groups);
+  ASSERT_FALSE(combos.empty()) << name;
+  for (std::size_t a = 0; a < combos.size(); ++a) {
+    for (std::size_t b = a + 1; b < combos.size(); ++b) {
+      EXPECT_FALSE(identical_combinations(combos[a], combos[b]))
+          << name << ": combinations " << a << " and " << b << " are identical";
+    }
+  }
+}
+
+TEST(CombineDistinct, Dgx16) {
+  expect_distinct("dgx16 allgather", topo::build_h800_cluster(2), RootedPattern::Broadcast);
+  expect_distinct("dgx16 alltoall", topo::build_h800_cluster(2), RootedPattern::Scatter);
+}
+
+TEST(CombineDistinct, A100x16) {
+  expect_distinct("a100x16 allgather", topo::build_a100_testbed(16), RootedPattern::Broadcast);
+  expect_distinct("a100x16 alltoall", topo::build_a100_testbed(16), RootedPattern::Scatter);
+}
+
+TEST(CombineDistinct, A100x32) {
+  expect_distinct("a100x32 allgather", topo::build_a100_testbed(32), RootedPattern::Broadcast);
+  expect_distinct("a100x32 alltoall", topo::build_a100_testbed(32), RootedPattern::Scatter);
+}
+
+TEST(CombineDistinct, H800x8) {
+  expect_distinct("h800x8 allgather", topo::build_h800_cluster(8), RootedPattern::Broadcast);
+  expect_distinct("h800x8 alltoall", topo::build_h800_cluster(8), RootedPattern::Scatter);
+}
+
+TEST(CombineDistinct, H800x64) {
+  expect_distinct("h800x64 allgather", topo::build_h800_cluster(64), RootedPattern::Broadcast);
+  expect_distinct("h800x64 alltoall", topo::build_h800_cluster(64), RootedPattern::Scatter);
 }
 
 }  // namespace

@@ -402,11 +402,12 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
   std::set<std::string> categories;
   double last_ts = -1.0;
   std::size_t duration_events = 0;
-  // Demand planning runs under its own span; combine carries its replica
-  // count (one of each per synthesize_pattern).
+  // Demand planning runs under its own span; combine carries its replica,
+  // combination and dropped-copy counts (one of each per synthesize_pattern).
   int plan_spans = 0;
   double planned_subdemands = 0.0;
   int combine_spans = 0;
+  double combinations = 0.0;
   for (const Json& e : events.items()) {
     const std::string ph = e.at("ph").as_string();
     const int pid = static_cast<int>(e.at("pid").as_number());
@@ -438,6 +439,8 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
     } else if (name == "combine") {
       ++combine_spans;
       EXPECT_GT(e.at("args").at("replicas").as_number(), 0.0);
+      EXPECT_GE(e.at("args").at("duplicates").as_number(), 0.0);
+      combinations += e.at("args").at("combinations").as_number();
     }
   }
   EXPECT_GT(duration_events, 0u);
@@ -460,6 +463,8 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
   EXPECT_EQ(combine_spans, 2);
   EXPECT_EQ(planned_subdemands, static_cast<double>(bd.num_subdemands));
   EXPECT_EQ(counter("synth.combinations"), bd.num_combinations);
+  // Dropped copies are not candidates: the counter is the emitted total.
+  EXPECT_EQ(combinations, static_cast<double>(bd.num_combinations));
   EXPECT_EQ(counter("synth.subdemands"), bd.num_subdemands);
   EXPECT_EQ(counter("synth.solver_calls"), bd.num_solver_calls);
   // Independent derivations of the same totals must agree: the solver

@@ -45,4 +45,32 @@ inline void expect_same_combination(const SketchCombination& got, const SketchCo
   }
 }
 
+/// Non-asserting form of expect_same_combination: same sketches in the same
+/// order (root, pattern, stages, relay tree) with bit-identical fractions.
+inline bool identical_combinations(const SketchCombination& a, const SketchCombination& b) {
+  if (a.sketches.size() != b.sketches.size()) return false;
+  for (std::size_t i = 0; i < a.sketches.size(); ++i) {
+    const WeightedSketch& x = a.sketches[i];
+    const WeightedSketch& y = b.sketches[i];
+    if (std::bit_cast<std::uint64_t>(x.fraction) != std::bit_cast<std::uint64_t>(y.fraction) ||
+        x.sketch.root != y.sketch.root || x.sketch.pattern != y.sketch.pattern ||
+        x.sketch.parent != y.sketch.parent ||
+        x.sketch.stages.size() != y.sketch.stages.size()) {
+      return false;
+    }
+    for (std::size_t k = 0; k < x.sketch.stages.size(); ++k) {
+      const auto& xd = x.sketch.stages[k].demands;
+      const auto& yd = y.sketch.stages[k].demands;
+      if (xd.size() != yd.size()) return false;
+      for (std::size_t j = 0; j < xd.size(); ++j) {
+        if (xd[j].dim != yd[j].dim || xd[j].group != yd[j].group || xd[j].srcs != yd[j].srcs ||
+            xd[j].dsts != yd[j].dsts) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace syccl::sketch

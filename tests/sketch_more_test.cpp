@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "sketch/alltoall.h"
 #include "sketch/replicate.h"
 #include "sketch/search.h"
 #include "topo/builders.h"
@@ -213,6 +214,34 @@ TEST(Replicate, RankWithoutServerGroupFallsBackToSteering) {
     roots.insert(ws.sketch.root);
   }
   EXPECT_EQ(roots.size(), failed.num_gpus());
+}
+
+// dgx16 with an NVLink of server 0 failed: rotation declines, and load-steered
+// replication re-sources sub-demands whose mapped sources fell into the
+// coverage hole. Every Scatter prototype's family must still replicate onto
+// every root, each re-sourced destination pulling its data from a source of
+// its own sub-demand.
+TEST(Replicate, ResourcedScatterDestinationsPullFromTheirSources) {
+  const topo::Topology base = topo::build_h800_cluster(2);
+  for (const std::size_t link : {std::size_t{0}, std::size_t{1}}) {
+    const topo::Link& l = base.links()[link];
+    const topo::Topology failed = topo::fail_link(base, l.src, l.dst).topo;
+    const topo::TopologyGroups groups = topo::extract_groups(failed);
+    const auto sketches = search_sketches(groups, 0, RootedPattern::Scatter);
+    const auto prototypes = select_prototypes(sketches, groups, 6);
+    ASSERT_FALSE(prototypes.empty()) << "link " << link;
+    for (const Sketch& proto : prototypes) {
+      SketchCombination all;
+      ASSERT_NO_THROW(all = replicate_for_all_roots(balance_across_groups(proto, groups), groups))
+          << "link " << link << ": " << proto.describe();
+      std::set<int> roots;
+      for (const auto& ws : all.sketches) {
+        EXPECT_NO_THROW(ws.sketch.validate(groups)) << ws.sketch.describe();
+        roots.insert(ws.sketch.root);
+      }
+      EXPECT_EQ(roots.size(), failed.num_gpus()) << "link " << link;
+    }
+  }
 }
 
 TEST(Replicate, SteeringSpreadsCrossingsAcrossNics) {

@@ -2,6 +2,7 @@
 // scheduler on hand-checkable sub-demands.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "solver/epoch_model.h"
@@ -339,6 +340,12 @@ struct SweepParam {
   double bytes;
   double E;
 };
+
+// Prints the fields rather than the raw bytes, padding included, so that the
+// discovered test names are the same in every build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "n" << p.n << "_bytes" << p.bytes << "_E" << p.E;
+}
 
 class GreedySweep : public ::testing::TestWithParam<SweepParam> {};
 

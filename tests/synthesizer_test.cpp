@@ -3,9 +3,14 @@
 // checks), sane busbw, and the paper's qualitative properties.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "coll/busbw.h"
 #include "core/synthesizer.h"
+#include "runtime/validate.h"
+#include "sim/simulator.h"
 #include "topo/builders.h"
+#include "topo/mutate.h"
 
 namespace syccl::core {
 namespace {
@@ -140,6 +145,31 @@ TEST(Synthesizer, PruningOffProducesComparableSchedules) {
   const auto r_on = s_on.synthesize(coll);
   const auto r_off = s_off.synthesize(coll);
   EXPECT_LT(r_on.predicted_time, r_off.predicted_time * 1.5);
+}
+
+// dgx16 with one link failed: links 0 and 1 are NVLinks of the first server,
+// link 14 another. The failed rank's all-to-all sketch replicas must route
+// every scatter destination from a source of its own stage (the relay tree
+// once pointed a re-sourced destination at a rank outside its group).
+TEST(Synthesizer, FailedLinkAllToAllAndAllGather) {
+  const topo::Topology base = topo::build_h800_cluster(2);
+  for (const std::size_t link : {std::size_t{0}, std::size_t{1}, std::size_t{14}}) {
+    const topo::Link& l = base.links()[link];
+    const topo::Topology failed = topo::fail_link(base, l.src, l.dst).topo;
+    Synthesizer synth(failed, fast_config());
+    for (const auto& coll :
+         {coll::make_alltoall(16, 1 << 20), coll::make_allgather(16, 1 << 20)}) {
+      const std::string where = coll.describe() + " link " + std::to_string(link);
+      SynthesisResult r;
+      ASSERT_NO_THROW(r = synth.synthesize(coll)) << where;
+      const runtime::ValidationReport report =
+          runtime::validate_schedule(r.schedule, coll, synth.groups());
+      EXPECT_TRUE(report.ok) << where << ": "
+                             << (report.errors.empty() ? "" : report.errors.front());
+      const double resim = sim::Simulator(synth.groups()).time_collective(r.schedule, coll);
+      EXPECT_NEAR(resim, r.predicted_time, 1e-9 * r.predicted_time) << where;
+    }
+  }
 }
 
 }  // namespace

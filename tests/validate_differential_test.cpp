@@ -4,9 +4,12 @@
 // (DESIGN.md §4l); over seeded mutants of real sketches both must give the
 // same verdict with the same message. The original read parent[root]
 // without range-checking the root; the production validator rejects such a
-// sketch with std::invalid_argument instead.
+// sketch with std::invalid_argument instead. One rule was added to both
+// after the copy was taken, marked below: a Scatter destination's relay
+// parent must be a source of its sub-demand.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <set>
@@ -61,6 +64,13 @@ void seed_validate(const Sketch& sketch, const topo::TopologyGroups& groups) {
         }
         ever_dst.insert(v);
         new_holders.insert(v);
+        // Added rule, not in the original.
+        if (sketch.pattern == RootedPattern::Scatter &&
+            static_cast<int>(parent.size()) == num_ranks &&
+            std::find(r.srcs.begin(), r.srcs.end(), parent[static_cast<std::size_t>(v)]) ==
+                r.srcs.end()) {
+          throw std::invalid_argument("scatter destination's parent is not a source");
+        }
       }
     }
     holders.insert(new_holders.begin(), new_holders.end());
@@ -130,6 +140,7 @@ enum Mutation {
   kMissingParent,
   kRootWithParent,
   kParentSizeMismatch,
+  kParentNotSource,
   kNumMutations
 };
 
@@ -234,6 +245,23 @@ void mutate(Sketch& s, Mutation m, const topo::TopologyGroups& groups, std::mt19
     case kParentSizeMismatch:
       s.parent.resize(s.parent.size() + (rng() % 2 == 0 ? 1 : static_cast<std::size_t>(-1)), -1);
       break;
+    case kParentNotSource: {
+      // As a Scatter sketch, a destination's relay parent moves to a rank
+      // that is not a source of its sub-demand.
+      s.pattern = RootedPattern::Scatter;
+      SubDemandSpec& r = pick_demand(s, rng);
+      std::vector<int> others;
+      for (int u = 0; u < num_ranks; ++u) {
+        if (std::find(r.srcs.begin(), r.srcs.end(), u) == r.srcs.end()) others.push_back(u);
+      }
+      const int* v = pick(r.dsts, rng);
+      const int* u = pick(others, rng);
+      if (v != nullptr && u != nullptr && *v >= 0 &&
+          static_cast<std::size_t>(*v) < s.parent.size()) {
+        s.parent[static_cast<std::size_t>(*v)] = *u;
+      }
+      break;
+    }
     case kNumMutations:
       break;
   }
@@ -289,7 +317,8 @@ TEST(ValidateDifferential, SeededMutantsGiveSameVerdictAndMessage) {
                           "dst rank out of range", "dst outside its group",
                           "rank is a destination more than once", "parent vector size mismatch",
                           "root must not have a parent",
-                          "destination without a parent in the relay tree"}) {
+                          "destination without a parent in the relay tree",
+                          "scatter destination's parent is not a source"}) {
     EXPECT_EQ(messages.count(msg), 1u) << msg;
   }
   EXPECT_LT(accepted, kMutants / 10);
